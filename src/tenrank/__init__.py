@@ -34,6 +34,7 @@ from .decomp import (
     als_search,
     builtin_decomposition,
     builtin_state,
+    builtin_witness,
     decomposition_contract,
     decomposition_from_json,
     decomposition_power,
@@ -76,7 +77,6 @@ from .tensors import (
     max_flattening_rank,
     support_basis,
     tensor_from_json,
-    tensor_power,
     tensor_product,
     tensor_to_json,
     zero_tensor,

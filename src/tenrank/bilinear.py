@@ -3,21 +3,33 @@
 A rank-r decomposition of the <m,n,p> matrix-multiplication tensor is the
 same thing as an algorithm computing the product entries with r
 multiplications between linear forms of the two input matrices.  This
-module makes the correspondence executable in both directions and runs
-decompositions as recursive fast-multiplication algorithms with exact
-operation accounting.
+module makes the correspondence executable in both directions.
+
+Every program runs through one level-batched executor: `evaluate_bilinear`
+(one level on vectors), `run_bilinear_matmul` (one level on a verified
+program's matrices), `strassen_multiply` (Strassen's verified 7-product
+program applied recursively, exact) and `strassen_multiply_float` (the same
+recursion on complex128).  A program's coefficients are converted once into
+sparse Gaussian-integer rows; operands are converted to integer arrays at
+the boundary and back to Scalars only at the end, and operation counts
+match a per-scalar evaluation exactly.  `naive_multiply` stays a per-Scalar
+schoolbook product, independent of the executor, for checking it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .decomp import ProductDecomposition, Term, verify_decomposition
+from .decomp import ProductDecomposition, Term, strassen7_decomposition, verify_decomposition
 from .errors import InputError, StateError
-from .scalars import MINUS_ONE, ONE, ZERO, scalar_from_json, scalar_to_json
+from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_from_json, scalar_to_json
 from .tensors import LocalOperatorTriple, Tensor3, make_tensor
 
 
@@ -135,27 +147,6 @@ class MulCount:
         )
 
 
-def _eval_form(coeffs, values, count: MulCount):
-    """Evaluate sum_i coeffs[i]*values[i] with instrumented accounting."""
-    acc = None
-    for coeff, value in zip(coeffs, values):
-        if not coeff:
-            continue
-        if coeff == ONE:
-            contrib = value
-        elif coeff == MINUS_ONE:
-            contrib = -value
-        else:
-            contrib = coeff * value
-            count.additions += 1  # scalar-by-constant counts as an addition
-        if acc is None:
-            acc = contrib
-        else:
-            acc = acc + contrib
-            count.additions += 1
-    return ZERO if acc is None else acc
-
-
 # ---------------------------------------------------------------------------
 # Bilinear programs
 # ---------------------------------------------------------------------------
@@ -186,6 +177,11 @@ class BilinearProgram:
         dc = len(self.w)
         return (da, db, dc)
 
+    @cached_property
+    def _prepared(self) -> _Prepared:
+        """u, v and w as sparse Gaussian-integer rows, built on first use."""
+        return _Prepared(_sparse_rows(self.u), _sparse_rows(self.v), _sparse_rows(self.w))
+
 
 def to_bilinear(d: ProductDecomposition) -> BilinearProgram:
     """Decomposition -> program: u rows are the a-vectors, v rows the
@@ -211,29 +207,240 @@ def from_bilinear(p: BilinearProgram) -> ProductDecomposition:
     return ProductDecomposition((da, db, dc), terms)
 
 
+# ---------------------------------------------------------------------------
+# The executor
+# ---------------------------------------------------------------------------
+#
+# A matrix enters as a pair (re, im) of numpy arrays: object dtype holding
+# Python ints over one common denominator on the exact path (fixed-width
+# integers would wrap), float64 on the float path.  A batch of operands has
+# shape (batch, rows, cols).  One level of a <m,n,p> program cuts every
+# operand into its m x n (resp. n x p) block grid, applies the sparse
+# coefficient rows of u and v to the whole batch at once, multiplies the r
+# block pairs as a batch r times larger one level down, and recombines with
+# w; below the last level one batched schoolbook product runs.  Counters
+# advance by each array operation's scalar count as it runs: one addition
+# per coefficient other than +-1 and one per accumulation, times the
+# scalars in the batch, exactly as a per-scalar evaluation would count.
+
+
+#: bound on the scalars a breadth-first batch may reach (see _product); at
+#: this size an exact 32x32 product runs its top level depth-first, a float
+#: 64x64 one its top two, and either keeps about 1 MB of blocks live
+_LIVE_SCALARS = 1 << 13
+
+
+class _Rows(NamedTuple):
+    """A coefficient matrix as sparse Gaussian-integer rows over one common
+    denominator: each row is ((column, re, im), ...) over its nonzero
+    entries, with the operation count the row costs per scalar."""
+
+    rows: tuple
+    ops: tuple
+    den: int
+
+
+def _sparse_rows(matrix) -> _Rows:
+    matrix = [[as_scalar(c) for c in row] for row in matrix]
+    den = math.lcm(*(part.denominator for row in matrix for c in row
+                     for part in (c.re, c.im)))
+    rows, ops = [], []
+    for row in matrix:
+        nonzero = [(j, c) for j, c in enumerate(row) if c]
+        rows.append(tuple((j, _scaled(c.re, den), _scaled(c.im, den)) for j, c in nonzero))
+        scaled = sum(bool(c.im) or c.re not in (1, -1) for _, c in nonzero)
+        ops.append(max(len(nonzero) - 1, 0) + scaled)
+    return _Rows(tuple(rows), tuple(ops), den)
+
+
+def _scaled(part: Fraction, den: int) -> int:
+    """part * den for a denominator den that part's divides."""
+    return part.numerator * (den // part.denominator)
+
+
+class _Prepared(NamedTuple):
+    u: _Rows
+    v: _Rows
+    w: _Rows
+
+    @property
+    def scale(self) -> int:
+        """The denominator one level adds to its products."""
+        return self.u.den * self.v.den * self.w.den
+
+
+def _times(cr: int, ci: int, part):
+    """(cr + ci i) * part for a Gaussian-integer coefficient."""
+    re, im = part
+    if ci == 0:
+        if cr == 1:
+            return re, im
+        if cr == -1:
+            return -re, -im
+        return cr * re, cr * im
+    if cr == 0:
+        return -ci * im, ci * re
+    return cr * re - ci * im, cr * im + ci * re
+
+
+def _forms(rows: _Rows, x, count: MulCount):
+    """Every linear form of `rows` applied to the block vectors x, a pair of
+    (batch, d, ...) arrays; returns the (batch, len(rows), ...) pair."""
+    xr, xi = x
+    shape = (xr.shape[0], len(rows.rows)) + xr.shape[2:]
+    out = (np.zeros(shape, dtype=xr.dtype), np.zeros(shape, dtype=xi.dtype))
+    scalars = xr.shape[0] * math.prod(xr.shape[2:])
+    for k, (entries, ops) in enumerate(zip(rows.rows, rows.ops)):
+        acc_r, acc_i = out[0][:, k], out[1][:, k]
+        for n, (j, cr, ci) in enumerate(entries):
+            part = (xr[:, j], xi[:, j])
+            if n and ci == 0 and cr in (1, -1):
+                step = np.add if cr == 1 else np.subtract
+                step(acc_r, part[0], out=acc_r)
+                step(acc_i, part[1], out=acc_i)
+                continue
+            term_r, term_i = _times(cr, ci, part)
+            if n:
+                acc_r += term_r
+                acc_i += term_i
+            else:
+                acc_r[...] = term_r
+                acc_i[...] = term_i
+        count.additions += ops * scalars
+    return out
+
+
+def _schoolbook(a, b, count: MulCount):
+    """Batched schoolbook product, counted as naive_multiply counts."""
+    (ar, ai), (br, bi) = a, b
+    batch, s, t = ar.shape
+    q = br.shape[2]
+    count.nonscalar_mults += batch * s * t * q
+    count.additions += batch * s * q * (t - 1)
+    return ar @ br - ai @ bi, ar @ bi + ai @ br
+
+
+def _split(x, rows: int, cols: int):
+    """(batch, S, T) -> (batch, rows*cols, S/rows, T/cols): the block grid,
+    row-major."""
+    def one(c):
+        batch, s, t = c.shape
+        return (c.reshape(batch, rows, s // rows, cols, t // cols)
+                .transpose(0, 1, 3, 2, 4)
+                .reshape(batch, rows * cols, s // rows, t // cols))
+    return tuple(one(c) for c in x)
+
+
+def _join(x, rows: int, cols: int):
+    """Inverse of _split: (batch, rows*cols, s, t) -> (batch, rows*s, cols*t)."""
+    def one(c):
+        batch, _, s, t = c.shape
+        return (c.reshape(batch, rows, cols, s, t)
+                .transpose(0, 1, 3, 2, 4)
+                .reshape(batch, rows * s, cols * t))
+    return tuple(one(c) for c in x)
+
+
+def _level(prog: BilinearProgram, a, b, below: int, count: MulCount,
+           depth_first: bool = False):
+    """One program level on block vectors a (batch, dA, s, t) and
+    b (batch, dB, t, q); returns the (batch, dC, s, q) output blocks.
+
+    Breadth-first, the r products run as one batch r times larger;
+    depth-first, one product at a time.
+    """
+    u, v, w = prog._prepared
+    fa, fb = _forms(u, a, count), _forms(v, b, count)
+    batch, r = fa[0].shape[:2]
+    if depth_first and below:
+        parts = [_product(prog, (fa[0][:, k], fa[1][:, k]), (fb[0][:, k], fb[1][:, k]),
+                          below, count) for k in range(r)]
+        products = tuple(np.stack([part[c] for part in parts], axis=1) for c in (0, 1))
+    else:
+        flat = _product(prog,
+                        tuple(c.reshape((batch * r,) + c.shape[2:]) for c in fa),
+                        tuple(c.reshape((batch * r,) + c.shape[2:]) for c in fb),
+                        below, count)
+        products = tuple(c.reshape((batch, r) + c.shape[1:]) for c in flat)
+    return _forms(w, products, count)
+
+
+def _product(prog: BilinearProgram, a, b, levels: int, count: MulCount):
+    """Batched product of a (batch, S, T) and b (batch, T, Q) by `levels`
+    levels of the verified program, then schoolbook.
+
+    A level runs depth-first while running every level below it
+    breadth-first would hold more than _LIVE_SCALARS a-side scalars at the
+    leaves, so the live batch stays bounded for large operands.
+    """
+    if levels == 0:
+        return _schoolbook(a, b, count)
+    m, n, p = prog.verified_matmul
+    leaves = a[0].size * (prog.r / (m * n)) ** levels
+    return _join(_level(prog, _split(a, m, n), _split(b, n, p), levels - 1, count,
+                        depth_first=leaves > _LIVE_SCALARS), m, p)
+
+
+def _exact_arrays(matrix, padded: int | None = None):
+    """Exact matrix -> ((re, im) pair of (1, R, C) object arrays of Python
+    ints, common denominator), zero-padded to padded x padded if given."""
+    rows = [[as_scalar(v) for v in row] for row in matrix]
+    den = math.lcm(*(part.denominator for row in rows for v in row for part in (v.re, v.im)))
+    shape = (1, padded or len(rows), padded or (len(rows[0]) if rows else 0))
+    parts = (np.zeros(shape, dtype=object), np.zeros(shape, dtype=object))
+    for i, row in enumerate(rows):
+        parts[0][0, i, :len(row)] = [_scaled(v.re, den) for v in row]
+        parts[1][0, i, :len(row)] = [_scaled(v.im, den) for v in row]
+    return parts, den
+
+
+def _exact_matrix(x, den: int) -> tuple:
+    """The first matrix of a (1, R, C) pair as a tuple of Scalar rows."""
+    re, im = (c[0].tolist() for c in x)
+    return tuple(tuple(Scalar(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, ia))
+                 for ra, ia in zip(re, im))
+
+
+def _exact_product(prog: BilinearProgram, x, y, levels: int, count: MulCount,
+                   padded: int | None = None) -> tuple:
+    """X.Y for exact matrices by `levels` levels of the verified program,
+    then schoolbook; both operands are zero-padded to padded x padded when
+    given and the product sliced back."""
+    (a, den_a), (b, den_b) = _exact_arrays(x, padded), _exact_arrays(y, padded)
+    z = _product(prog, a, b, levels, count)
+    rows, cols = len(x), len(y[0]) if y else 0
+    return _exact_matrix(tuple(c[:, :rows, :cols] for c in z),
+                         den_a * den_b * prog._prepared.scale ** levels)
+
+
 def evaluate_bilinear(p: BilinearProgram, avec, bvec,
                       count: MulCount | None = None) -> tuple:
     """Run the program on concrete vectors, counting as it goes."""
     count = count if count is not None else MulCount()
-    products = []
-    for k in range(p.r):
-        fa = _eval_form(p.u[k], avec, count)
-        fb = _eval_form(p.v[k], bvec, count)
-        products.append(fa * fb)
-        count.nonscalar_mults += 1
-    return tuple(_eval_form(row, products, count) for row in p.w)
+    da, db, dc = p.dims()
+    if p.r and (len(avec) != da or len(bvec) != db):
+        raise InputError(f"input lengths {(len(avec), len(bvec))} do not match "
+                         f"the program's {(da, db)}")
+    (a, den_a), (b, den_b) = _exact_arrays([avec]), _exact_arrays([bvec])
+    out = _level(p, tuple(c.reshape(1, -1, 1, 1) for c in a),
+                 tuple(c.reshape(1, -1, 1, 1) for c in b), 0, count)
+    return _exact_matrix(tuple(c.reshape(1, 1, dc) for c in out),
+                         den_a * den_b * p._prepared.scale)[0]
 
 
 def verify_for_matmul(p: BilinearProgram, m: int, n: int, k: int) -> BilinearProgram:
     """Certify a program against the <m,n,k> tensor; returns a copy marked
-    as verified, which run_bilinear_matmul requires."""
+    as verified and prepared for the executor, which run_bilinear_matmul
+    requires."""
     target = matmul_tensor(m, n, k)
     result = verify_decomposition(target, from_bilinear(p))
     if not result.ok:
         raise InputError(
             f"program does not compute <{m},{n},{k}>: first mismatch at {result.first_mismatch}"
         )
-    return replace(p, verified_matmul=(m, n, k))
+    verified = replace(p, verified_matmul=(m, n, k))
+    verified._prepared  # built once here, so runs of the program never rebuild it
+    return verified
 
 
 def run_bilinear_matmul(p: BilinearProgram, x, y) -> tuple:
@@ -253,12 +460,8 @@ def run_bilinear_matmul(p: BilinearProgram, x, y) -> tuple:
             f"program not verified for <{m},{n},{k}> "
             f"(verified: {p.verified_matmul}); call verify_for_matmul first"
         )
-    avec = tuple(x[i][t] for i in range(m) for t in range(n))
-    bvec = tuple(y[t][j] for t in range(n) for j in range(k))
     count = MulCount()
-    flat = evaluate_bilinear(p, avec, bvec, count)
-    z = tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(m))
-    return z, count
+    return _exact_product(p, x, y, 1, count), count
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +469,12 @@ def run_bilinear_matmul(p: BilinearProgram, x, y) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _mat_add(a, b, count: MulCount, sign: int = 1):
-    count.additions += len(a) * len(a[0])
-    if sign > 0:
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def naive_multiply(x, y, count: MulCount | None = None) -> tuple:
-    """Schoolbook product with instrumented counts (n^3 non-scalar mults)."""
+    """Schoolbook product with instrumented counts (n^3 non-scalar mults).
+
+    Runs per Scalar, independently of the executor, so it serves as the
+    reference that `tenrank matmul --check` compares against.
+    """
     count = count if count is not None else MulCount()
     n_inner = len(y)
     if any(len(row) != n_inner for row in x):
@@ -298,51 +498,33 @@ def naive_multiply(x, y, count: MulCount | None = None) -> tuple:
     return tuple(out), count
 
 
-def _block(m, r, c, h):
-    return [row[c * h:(c + 1) * h] for row in m[r * h:(r + 1) * h]]
-
-
-def _strassen_rec(x, y, size, cutoff, count: MulCount):
-    if size <= cutoff:
-        z, _ = naive_multiply(x, y, count)
-        return [list(row) for row in z]
-    h = size // 2
-    x11, x12, x21, x22 = (_block(x, 0, 0, h), _block(x, 0, 1, h),
-                          _block(x, 1, 0, h), _block(x, 1, 1, h))
-    y11, y12, y21, y22 = (_block(y, 0, 0, h), _block(y, 0, 1, h),
-                          _block(y, 1, 0, h), _block(y, 1, 1, h))
-    m1 = _strassen_rec(_mat_add(x11, x22, count), _mat_add(y11, y22, count), h, cutoff, count)
-    m2 = _strassen_rec(_mat_add(x21, x22, count), y11, h, cutoff, count)
-    m3 = _strassen_rec(x11, _mat_add(y12, y22, count, -1), h, cutoff, count)
-    m4 = _strassen_rec(x22, _mat_add(y21, y11, count, -1), h, cutoff, count)
-    m5 = _strassen_rec(_mat_add(x11, x12, count), y22, h, cutoff, count)
-    m6 = _strassen_rec(_mat_add(x21, x11, count, -1), _mat_add(y11, y12, count), h, cutoff, count)
-    m7 = _strassen_rec(_mat_add(x12, x22, count, -1), _mat_add(y21, y22, count), h, cutoff, count)
-    z11 = _mat_add(_mat_add(_mat_add(m1, m4, count), m5, count, -1), m7, count)
-    z12 = _mat_add(m3, m5, count)
-    z21 = _mat_add(m2, m4, count)
-    z22 = _mat_add(_mat_add(_mat_add(m1, m2, count, -1), m3, count), m6, count)
-    out = [[None] * size for _ in range(size)]
-    for i in range(h):
-        for j in range(h):
-            out[i][j] = z11[i][j]
-            out[i][j + h] = z12[i][j]
-            out[i + h][j] = z21[i][j]
-            out[i + h][j + h] = z22[i][j]
-    return out
+@cache
+def _strassen_program() -> BilinearProgram:
+    """Strassen's 7-product <2,2,2> program, verified and prepared on first use."""
+    return verify_for_matmul(to_bilinear(strassen7_decomposition()), 2, 2, 2)
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _levels(size: int, cutoff: int) -> int:
+    """Halvings of `size` until blocks of at most `cutoff` remain."""
+    levels = 0
+    while size > cutoff:
+        size //= 2
+        levels += 1
+    return levels
+
+
 def strassen_multiply(x, y, cutoff: int = 1, pad: bool = False) -> tuple:
     """Recursive 7-multiplication product of square exact matrices.
 
-    Blocks of size <= cutoff multiply naively, so cutoff 1 performs
-    exactly 7^(log2 N) non-scalar multiplications.  Inputs must be square
-    with power-of-two size unless pad=True, which zero-pads to the next
-    power of two and slices the result back.
+    Runs Strassen's program through the executor: blocks of size <= cutoff
+    multiply by schoolbook, so cutoff 1 performs exactly 7^(log2 N)
+    non-scalar multiplications.  Inputs must be square with power-of-two
+    size unless pad=True, which zero-pads to the next power of two and
+    slices the result back.
     """
     if cutoff < 1:
         raise InputError("cutoff must be positive")
@@ -350,29 +532,23 @@ def strassen_multiply(x, y, cutoff: int = 1, pad: bool = False) -> tuple:
     if any(len(row) != size for row in x) or len(y) != size \
             or any(len(row) != size for row in y):
         raise InputError("strassen_multiply needs square matrices of equal size")
+    target = size
     if not _is_power_of_two(size):
         if not pad:
             raise InputError(
                 f"size {size} is not a power of two; pass pad=True to zero-pad"
             )
         target = 1 << (size - 1).bit_length()
-        x = [list(row) + [ZERO] * (target - size) for row in x] + \
-            [[ZERO] * target for _ in range(target - size)]
-        y = [list(row) + [ZERO] * (target - size) for row in y] + \
-            [[ZERO] * target for _ in range(target - size)]
-        count = MulCount()
-        z = _strassen_rec(x, y, target, cutoff, count)
-        return tuple(tuple(row[:size]) for row in z[:size]), count
     count = MulCount()
-    z = _strassen_rec([list(row) for row in x], [list(row) for row in y],
-                      size, cutoff, count)
-    return tuple(tuple(row) for row in z), count
+    z = _exact_product(_strassen_program(), x, y, _levels(target, cutoff), count, target)
+    return z, count
 
 
 def strassen_multiply_float(x: np.ndarray, y: np.ndarray, cutoff: int = 1) -> tuple:
-    """Benchmark-only float path over numpy blocks; excluded from
-    correctness acceptance.  Counters tally the scalar operations the
-    block primitives execute."""
+    """Strassen's program on complex128 matrices through the same executor
+    as the exact path, with float64 real and imaginary parts in place of
+    integer ones; counters are the same as the exact path's.  Rounding
+    makes this a benchmark path, excluded from correctness acceptance."""
     if cutoff < 1:
         raise InputError("cutoff must be positive")
     size = x.shape[0]
@@ -380,33 +556,13 @@ def strassen_multiply_float(x: np.ndarray, y: np.ndarray, cutoff: int = 1) -> tu
         raise InputError("strassen_multiply_float needs square matrices of equal size")
     if not _is_power_of_two(size):
         raise InputError(f"size {size} is not a power of two")
+    prog = _strassen_program()
+    levels = _levels(size, cutoff)
     count = MulCount()
-
-    def rec(a, b):
-        n = a.shape[0]
-        if n <= cutoff:
-            count.nonscalar_mults += n * n * n
-            count.additions += n * n * (n - 1)
-            return a @ b
-        h = n // 2
-        a11, a12, a21, a22 = a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]
-        b11, b12, b21, b22 = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
-        count.additions += 18 * h * h
-        m1 = rec(a11 + a22, b11 + b22)
-        m2 = rec(a21 + a22, b11)
-        m3 = rec(a11, b12 - b22)
-        m4 = rec(a22, b21 - b11)
-        m5 = rec(a11 + a12, b22)
-        m6 = rec(a21 - a11, b11 + b12)
-        m7 = rec(a12 - a22, b21 + b22)
-        out = np.empty((n, n), dtype=a.dtype)
-        out[:h, :h] = m1 + m4 - m5 + m7
-        out[:h, h:] = m3 + m5
-        out[h:, :h] = m2 + m4
-        out[h:, h:] = m1 - m2 + m3 + m6
-        return out
-
-    return rec(x, y), count
+    a, b = (tuple(np.ascontiguousarray(c, dtype=np.float64)[None] for c in (m.real, m.imag))
+            for m in (x, y))
+    re, im = _product(prog, a, b, levels, count)
+    return (re[0] + 1j * im[0]) / prog._prepared.scale ** levels, count
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +588,8 @@ def matrix_from_json(obj: dict) -> tuple:
         data = obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
+    if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
+        raise InputError("matrix JSON data must be a list of rows")
     if len(data) != rows or any(len(row) != cols for row in data):
         raise InputError("matrix data does not match declared shape")
     return tuple(tuple(scalar_from_json(x) for x in row) for row in data)

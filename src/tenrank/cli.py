@@ -37,6 +37,7 @@ from .decomp import (
     DEFAULT_RANK_FACTS,
     Rank222,
     builtin_state,
+    builtin_witness,
     decomposition_from_json,
     decomposition_power,
     float_decomposition_to_json,
@@ -157,14 +158,12 @@ def _cmd_rank(args) -> int:
     upper = None
     fact_hit = DEFAULT_RANK_FACTS.lookup(t)
     if fact_hit is not None:
-        from .slocc import _builtin_witness
-
         name, fact = fact_hit
         lower = max(lower, fact.rank)
         payload["known_rank"] = {"state": name, "rank": fact.rank, "note": fact.note}
         payload["lower"] = lower
         lines.append(f"registered exact rank: {name} -> {fact.rank} ({fact.note})")
-        builtin = _builtin_witness(t, name)
+        builtin = builtin_witness(t, name)
         if builtin is not None and verify_decomposition(t, builtin).ok:
             upper = len(builtin.terms)
 

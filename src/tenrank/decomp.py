@@ -571,6 +571,21 @@ class RankFacts:
 DEFAULT_RANK_FACTS = RankFacts()
 
 
+def builtin_witness(target: Tensor3, name: str) -> ProductDecomposition | None:
+    """The packaged witness whose term count meets the registered rank of
+    `name`, the state name returned by RankFacts.lookup(target); None when
+    no witness is packaged."""
+    if name.startswith("GHZ"):
+        return ghz_decomposition(target.dims[0])
+    if name == "W":
+        return w_rank3_decomposition()
+    if name == "PHI3":
+        from .bilinear import phi3_matmul_witness
+
+        return transport(phi3_matmul_witness(), strassen7_decomposition())
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Numeric search and rationalization
 # ---------------------------------------------------------------------------
@@ -664,11 +679,16 @@ def decomposition_from_json(obj: dict) -> ProductDecomposition:
         raw_terms = obj["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed decomposition JSON: {exc}") from exc
+    if len(dims) != 3:
+        raise InputError(f"decomposition JSON needs 3 dims, got {obj.get('dims')}")
     terms = []
-    for item in raw_terms:
-        terms.append(tuple(
-            tuple(scalar_from_json(v) for v in item[leg]) for leg in ("a", "b", "c")
-        ))
+    try:
+        for item in raw_terms:
+            terms.append(tuple(
+                tuple(scalar_from_json(v) for v in item[leg]) for leg in ("a", "b", "c")
+            ))
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed decomposition JSON term: {exc!r}") from exc
     return make_decomposition(dims, terms)
 
 

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from .errors import InputError
 
-_RatLike = "int | Fraction | str"
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse a decimal-integer fraction string like "-3/4" or "7"."""
+    if not isinstance(text, str):
+        raise InputError(f"expected a rational string, got {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -173,6 +173,8 @@ def scalar_from_json(obj, allow_float: bool = False):
         if isinstance(re, float) or isinstance(im, float):
             if not allow_float:
                 raise InputError("float scalar where an exact rational is required")
+            if not all(isinstance(part, (int, float)) for part in (re, im)):
+                raise InputError(f"invalid scalar encoding: {obj!r}")
             return complex(re, im)
         return Scalar(
             re if isinstance(re, int) else parse_rational(re),

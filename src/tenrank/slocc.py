@@ -18,19 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .als import AlsConfig
-from .bilinear import phi3_matmul_witness
 from .decomp import (
     DEFAULT_RANK_FACTS,
     ProductDecomposition,
     RankFacts,
     als_search,
-    ghz_decomposition,
+    builtin_witness,
     rationalize_result,
     reconstruct,
-    strassen7_decomposition,
-    transport,
     verify_decomposition,
-    w_rank3_decomposition,
 )
 from .errors import InputError, ResourceError
 from .scalars import ZERO
@@ -194,16 +190,6 @@ class ConvertVerdict:
     upper_bound: int | None = None
 
 
-def _builtin_witness(target: Tensor3, name: str) -> ProductDecomposition | None:
-    if name.startswith("GHZ"):
-        return ghz_decomposition(target.dims[0])
-    if name == "W":
-        return w_rank3_decomposition()
-    if name == "PHI3":
-        return transport(phi3_matmul_witness(), strassen7_decomposition())
-    return None
-
-
 def decide_ghz_conversion(target: Tensor3, n: int,
                           witness: ProductDecomposition | None = None,
                           rank_facts: RankFacts = DEFAULT_RANK_FACTS,
@@ -248,7 +234,7 @@ def decide_ghz_conversion(target: Tensor3, n: int,
                 lower_bound=fact.rank,
                 upper_bound=upper,
             )
-        builtin = _builtin_witness(target, name)
+        builtin = builtin_witness(target, name)
         if builtin is not None and len(builtin.terms) <= n:
             assert verify_decomposition(target, builtin).ok
             return ConvertVerdict("yes", witness=builtin,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, ResourceError
-from .scalars import Scalar, ZERO, as_scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar, ZERO, as_scalar, scalar_from_json
 
 #: Hard cap on dense storage; anything larger is handled symbolically
 #: through decompositions and never materialized.
@@ -166,15 +166,6 @@ def tensor_product(t1: Tensor3, t2: Tensor3) -> Tensor3:
         for (a2, b2, c2), v2 in t2.nonzeros():
             new[(a1 * da2 + a2, b1 * db2 + b2, c1 * dc2 + c2)] = v1 * v2
     return make_tensor(dims, new)
-
-
-def tensor_power(t: Tensor3, n: int) -> Tensor3:
-    if n < 1:
-        raise InputError("tensor_power needs n >= 1")
-    out = t
-    for _ in range(n - 1):
-        out = tensor_product(out, t)
-    return out
 
 
 def flattening(t: Tensor3, leg: str) -> tuple:
@@ -354,13 +345,13 @@ def tensor_from_json(obj: dict) -> Tensor3:
     if len(dims) != 3:
         raise InputError(f"tensor JSON needs 3 dims, got {obj.get('dims')}")
     entries = []
-    for item in raw:
-        index = tuple(int(i) for i in item["i"])
-        value = scalar_from_json({"re": item.get("re", "0"), "im": item.get("im", "0")})
-        entries.append((index, value))
+    try:
+        for item in raw:
+            index = tuple(int(i) for i in item["i"])
+            if len(index) != 3:
+                raise InputError(f"malformed tensor JSON: index {list(index)} needs 3 components")
+            value = scalar_from_json({"re": item.get("re", "0"), "im": item.get("im", "0")})
+            entries.append((index, value))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed tensor JSON entry: {exc!r}") from exc
     return make_tensor(dims, entries)
-
-
-def scalar_json(value: Scalar):
-    """Re-export of the scalar encoding used inside vector/matrix payloads."""
-    return scalar_to_json(value)

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,15 @@ import pytest
 
 from conftest import oracle_matmul, oracle_rank
 
-from tenrank import linalg, sampling
+from tenrank import bilinear, linalg, sampling
 from tenrank.bilinear import (
+    BilinearProgram,
     MulCount,
     evaluate_bilinear,
     from_bilinear,
+    matmul_power_relabeling,
     matmul_tensor,
+    naive_matmul_decomposition,
     matrix_from_json,
     matrix_to_json,
     naive_multiply,
@@ -33,10 +38,110 @@ from tenrank.decomp import (
     verify_decomposition,
 )
 from tenrank.errors import InputError, StateError
-from tenrank.scalars import Scalar
+from tenrank.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from tenrank.tensors import apply_local_operators, contract, flattening, tensor_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+# -- per-Scalar loop references for the executor ----------------------------------
+#
+# The loops the level-batched executor replaced, kept as references: the
+# executor must return the same matrices and the same operation counts.
+
+
+def ref_eval_form(coeffs, values, count):
+    """sum_i coeffs[i]*values[i] with per-scalar accounting."""
+    acc = None
+    for coeff, value in zip(coeffs, values):
+        if not coeff:
+            continue
+        if coeff == ONE:
+            contrib = value
+        elif coeff == MINUS_ONE:
+            contrib = -value
+        else:
+            contrib = coeff * value
+            count.additions += 1  # scalar-by-constant counts as an addition
+        if acc is None:
+            acc = contrib
+        else:
+            acc = acc + contrib
+            count.additions += 1
+    return ZERO if acc is None else acc
+
+
+def ref_evaluate_bilinear(p, avec, bvec, count=None):
+    count = count if count is not None else MulCount()
+    products = []
+    for k in range(p.r):
+        fa = ref_eval_form(p.u[k], avec, count)
+        fb = ref_eval_form(p.v[k], bvec, count)
+        products.append(fa * fb)
+        count.nonscalar_mults += 1
+    return tuple(ref_eval_form(row, products, count) for row in p.w)
+
+
+def ref_run_bilinear_matmul(p, x, y):
+    m, n, k = len(x), len(y), len(y[0])
+    count = MulCount()
+    flat = ref_evaluate_bilinear(p, tuple(v for row in x for v in row),
+                                 tuple(v for row in y for v in row), count)
+    return tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(m)), count
+
+
+def ref_mat_add(a, b, count, sign=1):
+    count.additions += len(a) * len(a[0])
+    if sign > 0:
+        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_block(m, r, c, h):
+    return [row[c * h:(c + 1) * h] for row in m[r * h:(r + 1) * h]]
+
+
+def ref_strassen_rec(x, y, size, cutoff, count):
+    if size <= cutoff:
+        z, _ = naive_multiply(x, y, count)
+        return [list(row) for row in z]
+    h = size // 2
+    x11, x12, x21, x22 = (ref_block(x, 0, 0, h), ref_block(x, 0, 1, h),
+                          ref_block(x, 1, 0, h), ref_block(x, 1, 1, h))
+    y11, y12, y21, y22 = (ref_block(y, 0, 0, h), ref_block(y, 0, 1, h),
+                          ref_block(y, 1, 0, h), ref_block(y, 1, 1, h))
+    add = ref_mat_add
+    m1 = ref_strassen_rec(add(x11, x22, count), add(y11, y22, count), h, cutoff, count)
+    m2 = ref_strassen_rec(add(x21, x22, count), y11, h, cutoff, count)
+    m3 = ref_strassen_rec(x11, add(y12, y22, count, -1), h, cutoff, count)
+    m4 = ref_strassen_rec(x22, add(y21, y11, count, -1), h, cutoff, count)
+    m5 = ref_strassen_rec(add(x11, x12, count), y22, h, cutoff, count)
+    m6 = ref_strassen_rec(add(x21, x11, count, -1), add(y11, y12, count), h, cutoff, count)
+    m7 = ref_strassen_rec(add(x12, x22, count, -1), add(y21, y22, count), h, cutoff, count)
+    z11 = add(add(add(m1, m4, count), m5, count, -1), m7, count)
+    z12 = add(m3, m5, count)
+    z21 = add(m2, m4, count)
+    z22 = add(add(add(m1, m2, count, -1), m3, count), m6, count)
+    out = [[None] * size for _ in range(size)]
+    for i in range(h):
+        for j in range(h):
+            out[i][j] = z11[i][j]
+            out[i][j + h] = z12[i][j]
+            out[i + h][j] = z21[i][j]
+            out[i + h][j + h] = z22[i][j]
+    return out
+
+
+def ref_strassen(x, y, cutoff=1):
+    """Recursive per-Scalar Strassen, zero-padding to a power of two."""
+    size = len(x)
+    target = 1 << (size - 1).bit_length()
+    pad = target - size
+    x = [list(row) + [ZERO] * pad for row in x] + [[ZERO] * target for _ in range(pad)]
+    y = [list(row) + [ZERO] * pad for row in y] + [[ZERO] * target for _ in range(pad)]
+    count = MulCount()
+    z = ref_strassen_rec(x, y, target, cutoff, count)
+    return tuple(tuple(row[:size]) for row in z[:size]), count
 
 
 # -- the multiplication tensor -------------------------------------------------
@@ -143,7 +248,11 @@ def test_program_evaluation_matches_contraction_oracle():
     for _ in range(10):
         a = sampling.vector(rng, dims[0])
         b = sampling.vector(rng, dims[1])
-        outputs = evaluate_bilinear(p, a, b)
+        count = MulCount()
+        outputs = evaluate_bilinear(p, a, b, count)
+        ref_count = MulCount()
+        assert outputs == ref_evaluate_bilinear(p, a, b, ref_count)
+        assert count == ref_count
         for l in range(dims[2]):
             unit = tuple(Scalar(1 if i == l else 0) for i in range(dims[2]))
             assert outputs[l] == contract(t, a, b, unit)
@@ -195,6 +304,7 @@ def test_power_program_on_4x4():
     z, count = run_bilinear_matmul(program, x, y)
     assert z == oracle_matmul(x, y)
     assert count.nonscalar_mults == 49
+    assert (z, count) == ref_run_bilinear_matmul(program, x, y)
 
 
 def test_rectangular_program_runs_exactly():
@@ -210,6 +320,39 @@ def test_rectangular_program_runs_exactly():
         z, count = run_bilinear_matmul(program, x, y)
         assert z == oracle_matmul(x, y)
         assert count.nonscalar_mults == 12
+        assert (z, count) == ref_run_bilinear_matmul(program, x, y)
+
+
+def test_gaussian_rational_program_keeps_scale_bookkeeping():
+    # Strassen with u scaled by s and w by 1/s still computes <2,2,2>; for
+    # s = 2i (w by -i/2) and s = 1+i (w by (1-i)/2) the coefficients are
+    # Gaussian rationals over a common denominator of 2
+    strassen = to_bilinear(builtin_decomposition("STRASSEN7"))
+    rng = random.Random(157)
+    for s in (Scalar(0, 2), Scalar(1, 1)):
+        scaled = BilinearProgram(
+            tuple(tuple(s * c for c in row) for row in strassen.u),
+            strassen.v,
+            tuple(tuple(c / s for c in row) for row in strassen.w),
+        )
+        program = verify_for_matmul(scaled, 2, 2, 2)
+        for _ in range(5):
+            x = sampling.matrix(rng, 2, 2, complex_parts=True, max_num=5, max_den=3)
+            y = sampling.matrix(rng, 2, 2, complex_parts=True, max_num=5, max_den=3)
+            z, count = run_bilinear_matmul(program, x, y)
+            assert z == oracle_matmul(x, y)
+            assert (z, count) == ref_run_bilinear_matmul(program, x, y)
+            a, b = tuple(v for row in x for v in row), tuple(v for row in y for v in row)
+            count, ref_count = MulCount(), MulCount()
+            assert evaluate_bilinear(program, a, b, count) == \
+                ref_evaluate_bilinear(program, a, b, ref_count)
+            assert count == ref_count
+        # two levels of the program: each level adds its denominator
+        x = sampling.matrix(rng, 4, 4, complex_parts=True, max_num=5, max_den=3)
+        y = sampling.matrix(rng, 4, 4, complex_parts=True, max_num=5, max_den=3)
+        count = MulCount()
+        assert bilinear._exact_product(program, x, y, 2, count) == oracle_matmul(x, y)
+        assert count.nonscalar_mults == 49
 
 
 def test_unverified_program_is_a_state_error():
@@ -272,6 +415,34 @@ def test_strassen_against_sympy_oracle_n3():
     assert z == oracle_matmul(x, y)
 
 
+def test_strassen_matches_loop_reference():
+    rng = random.Random(163)
+    for n in range(6):
+        size = 1 << n
+        x = sampling.matrix(rng, size, size, complex_parts=True, max_num=9, max_den=4)
+        y = sampling.matrix(rng, size, size, complex_parts=True, max_num=9, max_den=4)
+        for cutoff in (1, 2, 4):
+            assert strassen_multiply(x, y, cutoff=cutoff) == ref_strassen(x, y, cutoff)
+
+
+def test_strassen_exact_beyond_fixed_width_integers():
+    # numerators near 10^30 overflow any fixed-width integer dtype
+    rng = random.Random(167)
+    big = 10 ** 30
+
+    def huge(rows, cols):
+        return tuple(tuple(Scalar(Fraction(big + rng.randint(-9, 9), rng.randint(1, 7)),
+                                  Fraction(-big + rng.randint(-9, 9), rng.randint(1, 7)))
+                           for _ in range(cols)) for _ in range(rows))
+
+    x, y = huge(8, 8), huge(8, 8)
+    assert strassen_multiply(x, y) == ref_strassen(x, y)
+    program = verify_for_matmul(to_bilinear(builtin_decomposition("STRASSEN7")), 2, 2, 2)
+    x, y = huge(2, 2), huge(2, 2)
+    assert run_bilinear_matmul(program, x, y) == ref_run_bilinear_matmul(program, x, y)
+    assert run_bilinear_matmul(program, x, y)[0] == oracle_matmul(x, y)
+
+
 def test_strassen_cutoff_switches_to_naive():
     rng = random.Random(109)
     x, y = rand_mat(rng, 8, 8), rand_mat(rng, 8, 8)
@@ -288,6 +459,9 @@ def test_strassen_padding_flag():
         strassen_multiply(x, y)
     z, _ = strassen_multiply(x, y, pad=True)
     assert z == naive_multiply(x, y)[0]
+    for size in (3, 5):
+        x, y = rand_mat(rng, size, size), rand_mat(rng, size, size)
+        assert strassen_multiply(x, y, pad=True) == ref_strassen(x, y)
     with pytest.raises(InputError):
         strassen_multiply(x, rand_mat(rng, 2, 2))
 
@@ -299,13 +473,24 @@ def test_mulcount_merges_associatively():
     assert (a + b) + c == a + (b + c) == MulCount(111, 222)
 
 
+def float_tolerance(n):
+    """Higham's bound for Strassen with cutoff 1, [n^log2(12) * 6 - 5n] u
+    |A| |B| in the max norm, times 4 for complex arithmetic."""
+    return 4.0 * (n ** math.log2(12) * 6 - 5 * n) * 2.0 ** -53
+
+
 def test_float_path_matches_numpy_and_counts():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    y = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    z, count = strassen_multiply_float(x, y, cutoff=1)
-    assert np.allclose(z, x @ y)
-    assert count.nonscalar_mults == 7 ** 3
+    for size, cutoff in ((1, 1), (8, 1), (8, 4), (64, 1), (64, 4)):
+        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        z, count = strassen_multiply_float(x, y, cutoff=cutoff)
+        bound = float_tolerance(size) * np.max(np.abs(x)) * np.max(np.abs(y))
+        assert np.max(np.abs(z - x @ y)) <= bound
+        if size <= 8:  # the exact path counts the same operations
+            zeros = linalg.zeros(size, size)
+            assert count == strassen_multiply(zeros, zeros, cutoff=cutoff)[1]
+    assert count.nonscalar_mults == 7 ** 4 * 4 ** 3
     with pytest.raises(InputError):
         strassen_multiply_float(x[:3, :3], y[:3, :3])
 
@@ -318,5 +503,15 @@ def test_matrix_json_round_trip():
     m = sampling.matrix(rng, 2, 3, complex_parts=True, max_num=4, max_den=3)
     payload = json.loads(json.dumps(matrix_to_json(m)))
     assert matrix_from_json(payload) == m
-    with pytest.raises(InputError):
-        matrix_from_json({"rows": 2, "cols": 2, "data": [["1", "1"]]})
+    for malformed in [
+        {"rows": 2, "cols": 2, "data": [["1", "1"]]},
+        {"rows": 1, "cols": 1, "data": 5},
+        {"rows": 1, "cols": 1, "data": [5]},
+        {"rows": 1, "cols": 2, "data": ["ab"]},
+        {"rows": 1, "cols": 1, "data": [[{"re": [1]}]]},
+        {"rows": 1, "cols": 1, "data": [[{"re": 1.5, "im": "1"}]]},
+        {"rows": 1, "cols": 1, "data": [[None]]},
+        {"rows": 1, "cols": 1},
+    ]:
+        with pytest.raises(InputError):
+            matrix_from_json(malformed)

@@ -56,6 +56,25 @@ def test_state_parse_failure_exits_2(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, "state", str(bad))
     assert code == 2 and "JSON" in err
+    term = {"a": ["1", "0", "0", "0"], "b": ["1", "0", "0", "0"], "c": ["1", "0", "0", "0"]}
+    malformed = [
+        ("state", {"dims": [2, 2, 2], "entries": [{"re": "1"}]}),  # no "i"
+        ("state", {"dims": [2, 2, 2], "entries": [{"i": [0, 0], "re": "1"}]}),
+        ("state", {"dims": [2, 2, 2], "entries": [{"i": [0, 0, 0], "re": [1]}]}),
+        ("state", {"dims": [2, 2, 2], "entries": [{"i": [0, 0, 0], "re": "1", "im": None}]}),
+        ("state", {"dims": [2, 2, 2], "entries": 5}),
+        ("state", {"dims": [2, 2, 2], "entries": ["x"]}),
+        ("witness", {"dims": [4, 4, 4], "terms": [{"a": term["a"], "b": term["b"]}]}),
+        ("witness", {"dims": [4, 4, 4], "terms": [dict(term, c=5)]}),
+        ("witness", {"dims": [4, 4, 4], "terms": [dict(term, c=[{"re": [1]}] * 4)]}),
+        ("witness", {"dims": [4, 4], "terms": [term]}),
+        ("witness", {"dims": [4, 4, 4], "terms": ["x"]}),
+    ]
+    for kind, payload in malformed:
+        bad.write_text(json.dumps(payload))
+        argv = ("state", str(bad)) if kind == "state" else ("rank", "PHI3", "--witness", str(bad))
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), (payload, err)
 
 
 def test_state_matmul_golden(capsys, tmp_path):
