@@ -43,12 +43,13 @@ from .decomp import (
     rank_leq2_test_2x2x2,
     rationalize_result,
     reconstruct,
+    require_witness,
     transport,
     verify_decomposition,
     verify_power_randomized,
     w_rank3_decomposition,
 )
-from .errors import InputError, ResourceError, StateError, TenrankError
+from .errors import InputError, ResourceError, StateError, TenrankError, WitnessMismatch
 from .scalars import Scalar, as_scalar
 from .slocc import (
     ConvertVerdict,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import sampling
 from .als import AlsConfig
-from .bilinear import phi3_matmul_witness, strassen_multiply, strassen_multiply_float
+from .bilinear import strassen_multiply, strassen_multiply_float
 from .decomp import (
     DEFAULT_RANK_FACTS,
     Rank222,
@@ -42,13 +42,11 @@ from .decomp import (
     decomposition_power,
     float_decomposition_to_json,
     rank_leq2_test_2x2x2,
-    strassen7_decomposition,
-    transport,
     verify_decomposition,
     verify_power_randomized,
     als_search,
 )
-from .errors import InputError, ResourceError, StateError, TenrankError
+from .errors import TenrankError, WitnessMismatch
 from .slocc import (
     build_protocol,
     classify_three_qubit,
@@ -164,7 +162,7 @@ def _cmd_rank(args) -> int:
         payload["lower"] = lower
         lines.append(f"registered exact rank: {name} -> {fact.rank} ({fact.note})")
         builtin = builtin_witness(t, name)
-        if builtin is not None and verify_decomposition(t, builtin).ok:
+        if builtin is not None:
             upper = len(builtin.terms)
 
     if args.witness:
@@ -233,22 +231,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_convert(args) -> int:
     t = _resolve_tensor(args.tensor, args.n, args.dims)
-    witness = None
-    if args.witness:
-        witness = _resolve_witness(args.witness)
-        try:
-            result = verify_decomposition(t, witness)
-        except TenrankError as exc:
-            raise _CliError(str(exc), code=EXIT_WITNESS_MISMATCH) from exc
-        if not result.ok:
-            print(f"error: witness mismatch at index {result.first_mismatch}",
-                  file=sys.stderr)
-            return EXIT_WITNESS_MISMATCH
-    try:
-        verdict = decide_ghz_conversion(t, args.ghz, witness=witness,
-                                        als_cfg=AlsConfig(seed=args.seed))
-    except TenrankError as exc:
-        raise _CliError(str(exc)) from exc
+    witness = _resolve_witness(args.witness) if args.witness else None
+    verdict = decide_ghz_conversion(t, args.ghz, witness=witness,
+                                    als_cfg=AlsConfig(seed=args.seed))
     payload = verdict_to_json(verdict)
     print(json.dumps(payload if args.json else {k: v for k, v in payload.items()
                                                 if k != "witness"}))
@@ -256,8 +241,9 @@ def _cmd_convert(args) -> int:
         protocol = build_protocol(verdict.witness, args.ghz, target=t)
         source = builtin_state("GHZ", args.ghz)
         outcome, probability = simulate(protocol, source)
-        overlap = abs(np.vdot(outcome, t.to_numpy()))
-        fidelity = overlap / (np.linalg.norm(outcome) * np.linalg.norm(t.to_numpy()))
+        target = t.to_numpy()
+        overlap = abs(np.vdot(outcome, target))
+        fidelity = overlap / (np.linalg.norm(outcome) * np.linalg.norm(target))
         out_path = args.out or "protocol.json"
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(protocol_to_json(protocol), fh)
@@ -273,10 +259,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_classify(args) -> int:
     t = _resolve_tensor(args.tensor, args.n, args.dims)
-    try:
-        label = classify_three_qubit(t)
-    except TenrankError as exc:
-        raise _CliError(str(exc)) from exc
+    label = classify_three_qubit(t)
     _emit(args, {"class": label.value}, [label.value])
     return EXIT_OK
 
@@ -370,7 +353,7 @@ def _demo_ghz3_to_w2():
 
 def _demo_ghz_to_phi3():
     phi3 = builtin_state("PHI3")
-    base = transport(phi3_matmul_witness(), strassen7_decomposition())
+    base = builtin_witness(phi3, "PHI3")
     checks = []
     parts = []
     for copies, levels in ((1, 8), (2, 64)):
@@ -403,10 +386,9 @@ def _demo_epr_rate():
     ghz_copies = 17
     total_pairs = copies * pairs_per_copy
     witness_fits = 7 ** copies <= 2 ** ghz_copies
-    base = transport(phi3_matmul_witness(), strassen7_decomposition())
-    verified = verify_power_randomized(
-        builtin_state("PHI3"), decomposition_power(base, copies), probes=20, seed=0
-    ).ok
+    phi3 = builtin_state("PHI3")
+    power = decomposition_power(builtin_witness(phi3, "PHI3"), copies)
+    verified = verify_power_randomized(phi3, power, probes=20, seed=0).ok
     checks = [
         (f"7^{copies} = {7 ** copies} <= 2^{ghz_copies} = {2 ** ghz_copies}",
          witness_fits),
@@ -528,7 +510,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (InputError, ResourceError, StateError) as exc:
+    except WitnessMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WITNESS_MISMATCH
+    except TenrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

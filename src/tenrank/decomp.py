@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg, sampling
 from .als import AlsConfig, AlsResult, als_decompose
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, WitnessMismatch
 from .scalars import ONE, ZERO, Scalar, scalar_from_json, scalar_to_json
 from .tensors import (
     ENTRY_CAP,
@@ -31,7 +31,6 @@ from .tensors import (
     contract,
     flattening_rank,
     make_tensor,
-    max_flattening_rank,
     slice_c,
     tensor_product,
 )
@@ -186,17 +185,26 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
         return VerifyResult(True, randomized=True)
     rebuilt = reconstruct(d)
     if rebuilt.entries == t.entries:
-        if t.dims[0] * t.dims[1] * t.dims[2] <= 4096:
-            # cheap internal invariant: witnessed rank dominates flattenings
-            assert len(d.terms) >= max_flattening_rank(t)
         return VerifyResult(True)
-    for flat, (lhs, rhs) in enumerate(zip(t.entries, rebuilt.entries)):
-        if lhs != rhs:
-            _, db, dc = t.dims
-            a, rest = divmod(flat, db * dc)
-            b, c = divmod(rest, dc)
-            return VerifyResult(False, (a, b, c))
-    raise AssertionError("unreachable")
+    flat = next(k for k, (lhs, rhs) in enumerate(zip(t.entries, rebuilt.entries))
+                if lhs != rhs)
+    _, db, dc = t.dims
+    a, rest = divmod(flat, db * dc)
+    b, c = divmod(rest, dc)
+    return VerifyResult(False, (a, b, c))
+
+
+def require_witness(t: Tensor3, d: ProductDecomposition) -> ProductDecomposition:
+    """Return d after verifying it against t; raise WitnessMismatch when
+    the dims differ or the check fails."""
+    if t.dims != d.dims:
+        raise WitnessMismatch(f"dims mismatch: tensor {t.dims} vs decomposition {d.dims}")
+    result = verify_decomposition(t, d)
+    if not result.ok:
+        raise WitnessMismatch(f"witness does not reconstruct the target "
+                              f"(first mismatch at {result.first_mismatch})",
+                              result.first_mismatch)
+    return d
 
 
 def decomposition_contract(d: ProductDecomposition, x, y, z) -> Scalar:
@@ -444,6 +452,7 @@ def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
         )
     rng = random.Random(seed)
     da, db, dc = base_target.dims
+    base = ProductDecomposition(base_target.dims, lazy.base_terms)
     for _ in range(probes):
         lhs = ONE
         rhs = ONE
@@ -451,18 +460,7 @@ def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
             x = sampling.vector(rng, da)
             y = sampling.vector(rng, db)
             z = sampling.vector(rng, dc)
-            factor = ZERO
-            for term in lazy.base_terms:
-                pa = linalg.dot(term.a, x)
-                if not pa:
-                    continue
-                pb = linalg.dot(term.b, y)
-                if not pb:
-                    continue
-                pc = linalg.dot(term.c, z)
-                if pc:
-                    factor = factor + pa * pb * pc
-            lhs = lhs * factor
+            lhs = lhs * decomposition_contract(base, x, y, z)
             rhs = rhs * contract(base_target, x, y, z)
         if lhs != rhs:
             return VerifyResult(False, None, randomized=True)
@@ -509,9 +507,10 @@ def rank_leq2_test_2x2x2(t: Tensor3) -> Rank222:
         if linalg.det(candidate):
             pencil = (candidate, (alpha, beta))
             break
-    # both slices independent and not all-singular once every flattening
-    # rank is 2, so an invertible member always exists among the candidates
-    assert pencil is not None
+    if pencil is None:
+        # both slices independent and not all-singular once every flattening
+        # rank is 2, so an invertible member always exists among the candidates
+        raise RuntimeError(f"no invertible member in the slice pencil of {t!r}")
     s, (alpha, beta) = pencil
     other = s1 if (alpha, beta) != (0, 1) else s0
     m = linalg.mat_mul(other, linalg.inverse(s))
@@ -573,17 +572,20 @@ DEFAULT_RANK_FACTS = RankFacts()
 
 def builtin_witness(target: Tensor3, name: str) -> ProductDecomposition | None:
     """The packaged witness whose term count meets the registered rank of
-    `name`, the state name returned by RankFacts.lookup(target); None when
-    no witness is packaged."""
+    `name`, the state name returned by RankFacts.lookup(target), verified
+    against `target` (WitnessMismatch otherwise); None when no witness is
+    packaged."""
     if name.startswith("GHZ"):
-        return ghz_decomposition(target.dims[0])
-    if name == "W":
-        return w_rank3_decomposition()
-    if name == "PHI3":
+        witness = ghz_decomposition(target.dims[0])
+    elif name == "W":
+        witness = w_rank3_decomposition()
+    elif name == "PHI3":
         from .bilinear import phi3_matmul_witness
 
-        return transport(phi3_matmul_witness(), strassen7_decomposition())
-    return None
+        witness = transport(phi3_matmul_witness(), strassen7_decomposition())
+    else:
+        return None
+    return require_witness(target, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .decomp import (
     builtin_witness,
     rationalize_result,
     reconstruct,
-    verify_decomposition,
+    require_witness,
 )
 from .errors import InputError, ResourceError
 from .scalars import ZERO
@@ -94,10 +94,7 @@ def build_protocol(d: ProductDecomposition, n: int,
     if target is None:
         target = reconstruct(d)
     else:
-        result = verify_decomposition(target, d)
-        if not result.ok:
-            raise InputError(f"witness does not reconstruct the target "
-                             f"(first mismatch at {result.first_mismatch})")
+        require_witness(target, d)
     if target.is_zero():
         raise InputError("witness reconstructs the zero tensor; no protocol exists")
 
@@ -200,17 +197,14 @@ def decide_ghz_conversion(target: Tensor3, n: int,
     Yes requires an exact witness with at most n terms (caller-provided,
     builtin, or found numerically and rationalized); No requires a lower
     bound above n from flattening ranks or the registered exact ranks.
-    Anything else is Unknown with both bounds reported.
+    Anything else is Unknown with both bounds reported.  A caller witness
+    that does not reconstruct the target raises WitnessMismatch.
     """
     if n < 1:
         raise InputError("GHZ level count must be positive")
     upper = None
     if witness is not None:
-        result = verify_decomposition(target, witness)
-        if not result.ok:
-            raise InputError(f"witness does not reconstruct the target "
-                             f"(first mismatch at {result.first_mismatch})")
-        upper = len(witness.terms)
+        upper = len(require_witness(target, witness).terms)
         if upper <= n:
             return ConvertVerdict("yes", witness=witness, upper_bound=upper,
                                   lower_bound=None)
@@ -236,7 +230,6 @@ def decide_ghz_conversion(target: Tensor3, n: int,
             )
         builtin = builtin_witness(target, name)
         if builtin is not None and len(builtin.terms) <= n:
-            assert verify_decomposition(target, builtin).ok
             return ConvertVerdict("yes", witness=builtin,
                                   upper_bound=len(builtin.terms), lower_bound=fact.rank)
 
@@ -314,14 +307,15 @@ def classify_three_qubit(t: Tensor3) -> ThreeQubitClass:
     low = [leg for leg, r in ranks.items() if r == 1]
     if len(low) == 3:
         return ThreeQubitClass.PRODUCT
-    if len(low) == 1:
+    if len(low) == 2:
+        # two legs of rank 1 force the third to 1 as well
+        raise RuntimeError(f"inconsistent flattening ranks {ranks}")
+    if low:
         return {
             "A": ThreeQubitClass.BISEP_A_BC,
             "B": ThreeQubitClass.BISEP_B_AC,
             "C": ThreeQubitClass.BISEP_C_AB,
         }[low[0]]
-    # two legs of rank 1 force the third to 1 as well
-    assert not low
     return ThreeQubitClass.GHZ if hyperdeterminant_2x2x2(t) else ThreeQubitClass.W
 
 
@@ -345,11 +339,7 @@ def schmidt_measure_bounds(t: Tensor3,
         lower_rank = max(lower_rank, fact_hit[1].rank)
     upper = None
     if witness is not None:
-        result = verify_decomposition(t, witness)
-        if not result.ok:
-            raise InputError(f"witness does not reconstruct the target "
-                             f"(first mismatch at {result.first_mismatch})")
-        upper = math.log2(len(witness.terms))
+        upper = math.log2(len(require_witness(t, witness).terms))
     lower = math.log2(lower_rank) if lower_rank > 0 else 0.0
     return (lower, upper)
 

@@ -102,7 +102,10 @@ class Tensor3:
         return sum(1 for x in self.entries if x)
 
     def to_numpy(self) -> np.ndarray:
-        arr = np.array([complex(x) for x in self.entries], dtype=np.complex128)
+        entries = self.entries
+        arr = np.zeros(len(entries), dtype=np.complex128)
+        nonzero = [flat for flat, x in enumerate(entries) if x]
+        arr[nonzero] = [complex(entries[flat]) for flat in nonzero]
         return arr.reshape(self.dims)
 
     def norm_sq(self) -> Fraction:

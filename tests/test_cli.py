@@ -187,6 +187,37 @@ def test_convert_witness_mismatch_exits_3(capsys):
     assert "mismatch" in err
 
 
+def test_convert_wrong_dims_witness_exits_3(capsys, tmp_path):
+    witness = tmp_path / "ghz2.json"
+    witness.write_text(json.dumps(decomposition_to_json(ghz_decomposition(2))))
+    code, out, err = run(capsys, "convert", "W2", "--ghz", "8", "--witness", str(witness))
+    assert code == 3
+    assert out == "" and "mismatch" in err
+
+
+def test_convert_simulate_verifies_caller_witness_twice(capsys, tmp_path, monkeypatch):
+    # once for the verdict, once when the protocol is built
+    import sys
+
+    from tenrank import decomp
+
+    original = decomp.verify_decomposition
+    calls = []
+
+    def counting(t, d):
+        calls.append(len(d.terms))
+        return original(t, d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tenrank") and getattr(module, "verify_decomposition",
+                                                  None) is original:
+            monkeypatch.setattr(module, "verify_decomposition", counting)
+    code, _, _ = run(capsys, "convert", "W2", "--ghz", "8", "--witness", "fiduccia8.json",
+                     "--simulate", "--out", str(tmp_path / "protocol.json"))
+    assert code == 0
+    assert calls == [8, 8]
+
+
 def test_rank_als_writes_float_decomposition(capsys, tmp_path):
     out_file = tmp_path / "ghz-float.json"
     code, out, _ = run(capsys, "rank", "GHZ", "--als", "2", "--out", str(out_file))

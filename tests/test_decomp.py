@@ -16,6 +16,7 @@ from tenrank.decomp import (
     Term,
     builtin_decomposition,
     builtin_state,
+    builtin_witness,
     decomposition_contract,
     decomposition_from_json,
     decomposition_power,
@@ -25,18 +26,20 @@ from tenrank.decomp import (
     make_decomposition,
     rank_leq2_test_2x2x2,
     reconstruct,
+    require_witness,
     transport,
     verify_decomposition,
     verify_power_randomized,
     w_rank3_decomposition,
 )
-from tenrank.errors import InputError, ResourceError
+from tenrank.errors import InputError, ResourceError, WitnessMismatch
 from tenrank.scalars import Scalar
 from tenrank.tensors import (
     LocalOperatorTriple,
     apply_local_operators,
     flattening_rank,
     make_tensor,
+    max_flattening_rank,
     tensor_product,
 )
 
@@ -132,16 +135,52 @@ def test_verify_against_independent_reconstruction_oracle():
 
 
 def test_builtin_pairs_term_count_dominates_flattenings():
+    # rank(T) >= every flattening rank, so no verified witness can be shorter
     pairs = [
         (matmul_tensor(2, 2, 2), builtin_decomposition("STRASSEN7")),
         (builtin_state("W2"), builtin_decomposition("FIDUCCIA8_W2")),
         (builtin_state("GHZ", 4), builtin_decomposition("GHZ", 4)),
         (builtin_state("W"), w_rank3_decomposition()),
     ]
+    for name, t in (("W", builtin_state("W")), ("PHI3", builtin_state("PHI3")),
+                    ("GHZ(5)", builtin_state("GHZ", 5))):
+        pairs.append((t, builtin_witness(t, name)))
+    rng = random.Random(53)
+    for _ in range(15):
+        dims = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+        d = random_decomposition(rng, dims, rng.randint(1, 3))
+        expected = oracle_outer_sum(dims, [(t.a, t.b, t.c) for t in d.terms])
+        pairs.append((make_tensor(dims, expected), d))
     for t, d in pairs:
         assert verify_decomposition(t, d).ok
-        for leg in "ABC":
-            assert len(d.terms) >= flattening_rank(t, leg)
+        assert len(d.terms) >= max_flattening_rank(t)
+
+
+def test_require_witness_returns_or_raises_witness_mismatch():
+    ghz = builtin_state("GHZ", 2)
+    d = ghz_decomposition(2)
+    assert require_witness(ghz, d) is d
+    with pytest.raises(WitnessMismatch) as info:
+        require_witness(builtin_state("W"), d)
+    assert info.value.first_mismatch == (0, 0, 0)
+    with pytest.raises(WitnessMismatch) as info:
+        require_witness(builtin_state("GHZ", 3), d)
+    assert info.value.first_mismatch is None and "dims mismatch" in str(info.value)
+    assert isinstance(info.value, InputError)
+
+
+def test_builtin_witness_is_verified_against_its_target():
+    assert builtin_witness(builtin_state("W2"), "W2") is None
+    with pytest.raises(WitnessMismatch):
+        builtin_witness(builtin_state("W2"), "W")
+    with pytest.raises(WitnessMismatch):
+        builtin_witness(make_tensor((3, 3, 3), {(0, 0, 0): 1}), "GHZ(3)")
+
+
+def test_rank222_missing_invertible_pencil_member_is_an_explicit_error(monkeypatch):
+    monkeypatch.setattr(linalg, "det", lambda m: Scalar(0))
+    with pytest.raises(RuntimeError):
+        rank_leq2_test_2x2x2(builtin_state("GHZ", 2))
 
 
 def test_make_decomposition_validation():

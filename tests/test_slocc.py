@@ -20,7 +20,7 @@ from tenrank.decomp import (
     verify_decomposition,
     w_rank3_decomposition,
 )
-from tenrank.errors import InputError, ResourceError
+from tenrank.errors import InputError, ResourceError, WitnessMismatch
 from tenrank.scalars import Scalar
 from tenrank.slocc import (
     ThreeQubitClass,
@@ -129,6 +129,17 @@ def test_build_protocol_errors():
     )
     with pytest.raises(InputError):
         build_protocol(zero_sum, 2)
+
+
+def test_witness_consumers_raise_witness_mismatch():
+    w = builtin_state("W")
+    for wrong, first in ((ghz_decomposition(2), (0, 0, 0)), (ghz_decomposition(3), None)):
+        for call in (lambda: decide_ghz_conversion(w, 4, witness=wrong),
+                     lambda: build_protocol(wrong, 4, target=w),
+                     lambda: schmidt_measure_bounds(w, wrong)):
+            with pytest.raises(WitnessMismatch) as info:
+                call()
+            assert info.value.first_mismatch == first
 
 
 def test_simulate_dim_mismatch():
@@ -278,6 +289,14 @@ def test_classify_representatives():
     assert classify_three_qubit(make_tensor((2, 2, 2), {})) is ThreeQubitClass.ZERO
     with pytest.raises(InputError):
         classify_three_qubit(builtin_state("GHZ", 3))
+
+
+def test_classify_inconsistent_flattening_ranks_is_an_explicit_error(monkeypatch):
+    import tenrank.slocc as slocc
+
+    monkeypatch.setattr(slocc, "flattening_rank", lambda t, leg: 2 if leg == "C" else 1)
+    with pytest.raises(RuntimeError):
+        classify_three_qubit(builtin_state("GHZ", 2))
 
 
 def test_hyperdeterminant_sanity():
