@@ -3,10 +3,14 @@ backend.
 
 This is the one deliberately inexact corner of the package: factors are
 complex128 numpy arrays and results are promoted to exact witnesses only
-through the rationalization pass in `tenrank.decomp`.  Restarts are
-independent given (seed, restart index), so they can run in any order or
-concurrently; the merged outcome is deterministic because ties are broken
-by restart index.
+through the rationalization pass in `tenrank.decomp`.  All restarts run
+in lockstep as one batch: restart i starts from its own generator, seeded
+by (seed, i), and its factors sit at index i of stacked (R, d, r) arrays,
+so each sweep costs one stacked solve per mode whatever the restart
+count.  A restart that converges or stalls leaves the batch with its
+factors, residual and sweep count frozen; the rest sweep on.  The merged
+outcome is deterministic: the smallest residual wins, ties going to the
+lowest restart index.
 """
 
 from __future__ import annotations
@@ -56,57 +60,44 @@ class AlsResult:
         return self.factors[0].shape[1]
 
 
-def _khatri_rao(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x.shape[1]
-    return (x[:, None, :] * y[None, :, :]).reshape(-1, r)
+def _initial_factors(dims, r: int, cfg: AlsConfig) -> list:
+    """Starting factors stacked as [A (R,dA,r), B (R,dB,r), C (R,dC,r)];
+    member i is drawn from its own generator seeded by (cfg.seed, i)."""
+    draws = []
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, restart])
+        draws.append([rng.uniform(-1.0, 1.0, (d, r)) + 1j * rng.uniform(-1.0, 1.0, (d, r))
+                      for d in dims])
+    return [np.stack([draw[m] for draw in draws]) for m in range(3)]
 
 
-def _reconstruct(factors) -> np.ndarray:
-    a, b, c = factors
-    return np.einsum("ir,jr,kr->ijk", a, b, c)
+def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lhs[n] x = rhs[n] for every member in one stacked call.  A
+    stacked solve fails as a whole if any member is singular; then each
+    member is solved alone and only the singular ones fall back to lstsq."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        for n, (g, b) in enumerate(zip(lhs, rhs)):
+            try:
+                out[n] = np.linalg.solve(g, b)
+            except np.linalg.LinAlgError:
+                out[n] = np.linalg.lstsq(g, b, rcond=None)[0]
+        return out
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Row norms of a complex (n, k) array.  Each row is summed as
+    np.linalg.norm sums a lone vector, one real dot product per part, so a
+    restart's residual does not depend on the batch it ran in."""
+    re, im = z.real, z.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
 def _max_term_norm(factors) -> float:
     norms = [np.linalg.norm(f, axis=0) for f in factors]
     return float(np.max(norms[0] * norms[1] * norms[2]))
-
-
-def _single_restart(arr: np.ndarray, r: int, cfg: AlsConfig, restart: int):
-    rng = np.random.default_rng([cfg.seed, restart])
-    dims = arr.shape
-    factors = [
-        rng.uniform(-1.0, 1.0, (d, r)) + 1j * rng.uniform(-1.0, 1.0, (d, r))
-        for d in dims
-    ]
-    norm_t = np.linalg.norm(arr)
-    if norm_t == 0.0:
-        return 0.0, factors, 0, True
-    unfoldings = [np.moveaxis(arr, m, 0).reshape(dims[m], -1) for m in range(3)]
-    eye = np.eye(r)
-    prev = np.inf
-    stalled = False
-    sweeps = 0
-    residual = np.inf
-    for sweep in range(cfg.max_sweeps):
-        for mode in range(3):
-            others = [factors[m] for m in range(3) if m != mode]
-            k = _khatri_rao(others[0], others[1])
-            gram = (others[0].conj().T @ others[0]) * (others[1].conj().T @ others[1])
-            rhs = unfoldings[mode] @ np.conj(k)
-            try:
-                factors[mode] = np.linalg.solve(gram + cfg.ridge * eye, rhs.T).T
-            except np.linalg.LinAlgError:
-                factors[mode] = np.linalg.lstsq(gram + cfg.ridge * eye, rhs.T,
-                                                rcond=None)[0].T
-        residual = float(np.linalg.norm(_reconstruct(factors) - arr) / norm_t)
-        sweeps = sweep + 1
-        if residual <= cfg.tol:
-            break
-        if prev - residual < cfg.stall_improvement:
-            stalled = True
-            break
-        prev = residual
-    return residual, factors, sweeps, stalled
 
 
 def als_decompose(arr: np.ndarray, r: int, cfg: AlsConfig | None = None) -> AlsResult:
@@ -128,27 +119,67 @@ def als_decompose(arr: np.ndarray, r: int, cfg: AlsConfig | None = None) -> AlsR
     if not np.all(np.isfinite(arr)):
         raise InputError("tensor contains non-finite values")
 
-    # every restart runs; merging by (residual, restart index) keeps the
-    # outcome independent of execution order, so restarts can parallelize
-    best = None
-    for restart in range(cfg.restarts):
-        residual, factors, sweeps, stalled = _single_restart(arr, r, cfg, restart)
-        if best is None or residual < best[0]:
-            best = (residual, factors, sweeps, stalled, restart)
-    residual, factors, sweeps, stalled, restart = best
+    factors = _initial_factors(arr.shape, r, cfg)
+    norm_t = float(np.linalg.norm(arr))
+    if norm_t == 0.0:
+        return AlsResult(found=True, residual=0.0, border_flag=False,
+                         factors=[f[0].copy() for f in factors])
+
+    # per-restart outcomes, each written once when its restart stops;
+    # `active` lists the restarts still sweeping and `factors` holds only
+    # their members, in the same order
+    residuals = np.empty(cfg.restarts)
+    sweeps = np.full(cfg.restarts, cfg.max_sweeps)
+    stalled = np.zeros(cfg.restarts, dtype=bool)
+    final = [np.empty_like(f) for f in factors]
+    active = np.arange(cfg.restarts)
+    prev = np.full(cfg.restarts, np.inf)
+    unfoldings = [np.moveaxis(arr, m, 0).reshape(arr.shape[m], -1) for m in range(3)]
+    ridge = cfg.ridge * np.eye(r)
+    for sweep in range(cfg.max_sweeps):
+        for mode in range(3):
+            x, y = (factors[m] for m in range(3) if m != mode)
+            khatri_rao = (x[:, :, None, :] * y[:, None, :, :]).reshape(len(active), -1, r)
+            gram = (x.conj().transpose(0, 2, 1) @ x) * (y.conj().transpose(0, 2, 1) @ y)
+            rhs = unfoldings[mode] @ khatri_rao.conj()
+            factors[mode] = _solve(gram + ridge, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        approx = np.einsum("nir,njr,nkr->nijk", *factors)
+        residual = _norms((approx - arr).reshape(len(active), -1)) / norm_t
+        converged = residual <= cfg.tol
+        stall = ~converged & (prev - residual < cfg.stall_improvement)
+        done = converged | stall
+        if done.any():
+            leaving = active[done]
+            residuals[leaving] = residual[done]
+            sweeps[leaving] = sweep + 1
+            stalled[leaving] = stall[done]
+            for out, f in zip(final, factors):
+                out[leaving] = f[done]
+            keep = ~done
+            active, residual = active[keep], residual[keep]
+            factors = [f[keep] for f in factors]
+        prev = residual
+        if not len(active):
+            break
+    # restarts that used every sweep end unstalled with their last residual
+    residuals[active] = prev
+    for out, f in zip(final, factors):
+        out[active] = f
+
+    # first minimum: the lowest restart index wins a tie
+    restart = min(range(cfg.restarts), key=residuals.__getitem__)
+    residual = float(residuals[restart])
+    factors = [f[restart].copy() for f in final]
     found = residual <= cfg.tol
     border = False
     if not found:
-        norm_t = float(np.linalg.norm(arr))
-        diverging = norm_t > 0 and (
-            _max_term_norm(factors) > cfg.border_term_ratio * norm_t
-        )
-        border = (not stalled) and diverging
+        diverging = _max_term_norm(factors) > cfg.border_term_ratio * norm_t
+        border = not stalled[restart] and diverging
     return AlsResult(
         found=found,
         residual=residual,
         border_flag=border,
         factors=factors,
         restart=restart,
-        sweeps=sweeps,
+        sweeps=int(sweeps[restart]),
     )

@@ -170,10 +170,11 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
     check falls back to the randomized contraction identity against dense
     rational probes, which is one-sided: a reported match holds with
     probability 1 up to the vanishing chance that every probe hits a root
-    of the nonzero difference polynomial.
+    of the nonzero difference polynomial.  A decomposition with other dims
+    raises WitnessMismatch.
     """
     if t.dims != d.dims:
-        raise InputError(f"dims mismatch: tensor {t.dims} vs decomposition {d.dims}")
+        raise WitnessMismatch(f"dims mismatch: tensor {t.dims} vs decomposition {d.dims}")
     if len(d.terms) > DENSE_VERIFY_LIMIT:
         rng = random.Random(20)
         for _ in range(20):
@@ -197,8 +198,6 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
 def require_witness(t: Tensor3, d: ProductDecomposition) -> ProductDecomposition:
     """Return d after verifying it against t; raise WitnessMismatch when
     the dims differ or the check fails."""
-    if t.dims != d.dims:
-        raise WitnessMismatch(f"dims mismatch: tensor {t.dims} vs decomposition {d.dims}")
     result = verify_decomposition(t, d)
     if not result.ok:
         raise WitnessMismatch(f"witness does not reconstruct the target "

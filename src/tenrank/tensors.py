@@ -93,7 +93,7 @@ class Tensor3:
         """Yield ((a, b, c), value) for every nonzero entry, row-major."""
         da, db, dc = self.dims
         for flat, value in enumerate(self.entries):
-            if value:
+            if value is not ZERO and value:
                 a, rest = divmod(flat, db * dc)
                 b, c = divmod(rest, dc)
                 yield (a, b, c), value
@@ -104,7 +104,9 @@ class Tensor3:
     def to_numpy(self) -> np.ndarray:
         entries = self.entries
         arr = np.zeros(len(entries), dtype=np.complex128)
-        nonzero = [flat for flat, x in enumerate(entries) if x]
+        # make_tensor fills unlisted entries with the shared ZERO: skipping
+        # it by identity avoids Scalar.__bool__ on every structural zero
+        nonzero = [flat for flat, x in enumerate(entries) if x is not ZERO and x]
         arr[nonzero] = [complex(entries[flat]) for flat in nonzero]
         return arr.reshape(self.dims)
 

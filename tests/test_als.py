@@ -1,14 +1,187 @@
+import random
+
 import numpy as np
 import pytest
 
-from tenrank.als import AlsConfig, als_decompose
+from tenrank import sampling
+from tenrank.als import AlsConfig, _max_term_norm, als_decompose
 from tenrank.decomp import (
     als_search,
     builtin_state,
+    make_decomposition,
     rationalize_result,
+    reconstruct,
     verify_decomposition,
 )
 from tenrank.errors import InputError
+
+# -- per-restart reference -------------------------------------------------------
+# The sequential ALS that als_decompose batches: each restart runs alone
+# from the generator seeded by (seed, restart) and the smallest residual
+# wins, ties going to the lowest restart index.
+
+
+def _khatri_rao(x, y):
+    r = x.shape[1]
+    return (x[:, None, :] * y[None, :, :]).reshape(-1, r)
+
+
+def _reconstruct(factors):
+    a, b, c = factors
+    return np.einsum("ir,jr,kr->ijk", a, b, c)
+
+
+def _single_restart(arr, r, cfg, restart):
+    rng = np.random.default_rng([cfg.seed, restart])
+    dims = arr.shape
+    factors = [
+        rng.uniform(-1.0, 1.0, (d, r)) + 1j * rng.uniform(-1.0, 1.0, (d, r))
+        for d in dims
+    ]
+    norm_t = np.linalg.norm(arr)
+    if norm_t == 0.0:
+        return 0.0, factors, 0, True
+    unfoldings = [np.moveaxis(arr, m, 0).reshape(dims[m], -1) for m in range(3)]
+    eye = np.eye(r)
+    prev = np.inf
+    stalled = False
+    sweeps = 0
+    residual = np.inf
+    for sweep in range(cfg.max_sweeps):
+        for mode in range(3):
+            others = [factors[m] for m in range(3) if m != mode]
+            k = _khatri_rao(others[0], others[1])
+            gram = (others[0].conj().T @ others[0]) * (others[1].conj().T @ others[1])
+            rhs = unfoldings[mode] @ np.conj(k)
+            try:
+                factors[mode] = np.linalg.solve(gram + cfg.ridge * eye, rhs.T).T
+            except np.linalg.LinAlgError:
+                factors[mode] = np.linalg.lstsq(gram + cfg.ridge * eye, rhs.T,
+                                                rcond=None)[0].T
+        residual = float(np.linalg.norm(_reconstruct(factors) - arr) / norm_t)
+        sweeps = sweep + 1
+        if residual <= cfg.tol:
+            break
+        if prev - residual < cfg.stall_improvement:
+            stalled = True
+            break
+        prev = residual
+    return residual, factors, sweeps, stalled
+
+
+def _reference_decompose(arr, r, cfg):
+    best = None
+    for restart in range(cfg.restarts):
+        residual, factors, sweeps, stalled = _single_restart(arr, r, cfg, restart)
+        if best is None or residual < best[0]:
+            best = (residual, factors, sweeps, stalled, restart)
+    residual, factors, sweeps, stalled, restart = best
+    found = residual <= cfg.tol
+    border = False
+    if not found:
+        norm_t = float(np.linalg.norm(arr))
+        diverging = norm_t > 0 and (
+            _max_term_norm(factors) > cfg.border_term_ratio * norm_t
+        )
+        border = (not stalled) and diverging
+    return found, residual, border, restart, sweeps
+
+
+def _assert_same_outcome(result, reference):
+    found, residual, border, restart, sweeps = reference
+    # plain Python types: the CLI writes these fields to JSON
+    assert (type(result.found), type(result.border_flag), type(result.residual),
+            type(result.restart), type(result.sweeps)) == (bool, bool, float, int, int)
+    assert (result.found, result.border_flag, result.restart, result.sweeps) == (
+        found, border, restart, sweeps)
+    assert abs(result.residual - residual) <= 1e-12 * residual
+
+
+def _assert_matches_reference(arr, r, cfg):
+    _assert_same_outcome(als_decompose(arr, r, cfg), _reference_decompose(arr, r, cfg))
+
+
+def _random_rank2_tensors(count):
+    """Tensors rebuilt from random exact 2-term witnesses (seeded)."""
+    rng = random.Random(149)
+    for _ in range(count):
+        terms = [
+            tuple(sampling.nonzero_vector(rng, 2, max_num=2) for _ in range(3))
+            for _ in range(2)
+        ]
+        yield reconstruct(make_decomposition((2, 2, 2), terms))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_batch_matches_per_restart_reference_on_w(r, seed):
+    # a full (W, r=2) reference run costs seconds: seeds 1 and 7 take the
+    # border case through 500 sweeps instead of 2000
+    sweeps = 500 if r == 2 and seed else 2000
+    _assert_matches_reference(builtin_state("W").to_numpy(), r,
+                              AlsConfig(seed=seed, max_sweeps=sweeps))
+
+
+def test_batch_matches_per_restart_reference_on_other_inputs():
+    ghz = builtin_state("GHZ", 2).to_numpy()
+    for seed in (0, 1, 7):
+        _assert_matches_reference(ghz, 2, AlsConfig(seed=seed, tol=1e-10))
+    for seed, t in enumerate(_random_rank2_tensors(3)):
+        _assert_matches_reference(t.to_numpy(), 2, AlsConfig(seed=seed))
+    w = builtin_state("W").to_numpy()
+    _assert_matches_reference(w, 2, AlsConfig(restarts=1, max_sweeps=300))
+    _assert_matches_reference(w, 2, AlsConfig(max_sweeps=1))
+    # the best restart stalls after its terms grew past the border ratio:
+    # no border flag, because it stalled
+    _assert_matches_reference(w, 2, AlsConfig(stall_improvement=1e-5))
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    _assert_matches_reference(dense, 3, AlsConfig(max_sweeps=100))
+
+
+def test_singular_gram_falls_back_to_lstsq_per_member(monkeypatch):
+    # with ridge 0 the Gram matrices of these inputs are exactly singular
+    # for some restarts and not for others; every restart must take the
+    # branch it takes alone, so the lstsq call counts agree
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    for arr, r in ((np.ones((1, 1, 1), dtype=complex), 2),
+                   (np.ones((2, 2, 2), dtype=complex), 5)):
+        cfg = AlsConfig(ridge=0.0, max_sweeps=50)
+        calls.clear()
+        result = als_decompose(arr, r, cfg)
+        batched = len(calls)
+        calls.clear()
+        _assert_same_outcome(result, _reference_decompose(arr, r, cfg))
+        assert batched == len(calls) > 0
+
+
+def test_solve_calls_are_per_sweep_not_per_restart(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    cfg = AlsConfig()
+    result = als_search(builtin_state("W"), 2, cfg)
+    assert result.border_flag
+    assert len(calls) <= 3 * cfg.max_sweeps
+
+
+def test_returned_factors_own_their_data():
+    result = als_search(builtin_state("GHZ", 2), 2)
+    assert all(f.flags.owndata for f in result.factors)
+    zero = als_decompose(np.zeros((2, 2, 2), dtype=complex), 1)
+    assert all(f.flags.owndata for f in zero.factors)
 
 
 def test_ghz_rank2_found_tightly():
@@ -61,18 +234,7 @@ def test_rationalize_rejects_unstructured_factors():
 
 def test_search_succeeds_on_random_tensors_with_known_witnesses():
     # any tensor built from an exact rank-r witness is found at rank r
-    import random
-
-    from tenrank import sampling
-    from tenrank.decomp import make_decomposition, reconstruct
-
-    rng = random.Random(149)
-    for _ in range(5):
-        terms = [
-            tuple(sampling.nonzero_vector(rng, 2, max_num=2) for _ in range(3))
-            for _ in range(2)
-        ]
-        t = reconstruct(make_decomposition((2, 2, 2), terms))
+    for t in _random_rank2_tensors(5):
         if t.is_zero():
             continue
         result = als_search(t, 2)
@@ -111,3 +273,4 @@ def test_zero_tensor_trivially_found():
     arr = np.zeros((2, 2, 2), dtype=complex)
     result = als_decompose(arr, 1)
     assert result.found and result.residual == 0.0
+    assert (result.restart, result.sweeps, result.border_flag) == (0, 0, False)

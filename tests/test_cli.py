@@ -106,6 +106,10 @@ def test_rank_w_als_border(capsys):
     code, out, _ = run(capsys, "rank", "W", "--als", "2")
     assert code == 0
     assert "NotFound" in out and "border_flag=true" in out
+    code, out, _ = run(capsys, "--json", "rank", "W", "--als", "2")
+    assert code == 0
+    als = json.loads(out)["als"]
+    assert als["found"] is False and als["border_flag"] is True
 
 
 def test_rank_witness_mismatch_exits_3(capsys):
@@ -193,6 +197,18 @@ def test_convert_wrong_dims_witness_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "convert", "W2", "--ghz", "8", "--witness", str(witness))
     assert code == 3
     assert out == "" and "mismatch" in err
+
+
+def test_verify_and_rank_wrong_dims_witness_exit_3(capsys, tmp_path):
+    witness = tmp_path / "ghz2.json"
+    witness.write_text(json.dumps(decomposition_to_json(ghz_decomposition(2))))
+    malformed = tmp_path / "two_dims.json"
+    malformed.write_text(json.dumps({"dims": [2, 2], "terms": []}))
+    for command in (("verify", "W2", "--witness"), ("rank", "W2", "--witness")):
+        code, out, err = run(capsys, *command, str(witness))
+        assert code == 3 and out == "" and "dims mismatch" in err, command
+        code, out, err = run(capsys, *command, str(malformed))
+        assert code == 2 and out == "" and err.startswith("error:"), command
 
 
 def test_convert_simulate_verifies_caller_witness_twice(capsys, tmp_path, monkeypatch):

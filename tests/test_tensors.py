@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import oracle_outer_sum, oracle_rank
@@ -9,9 +10,10 @@ from conftest import oracle_outer_sum, oracle_rank
 from tenrank import linalg, sampling
 from tenrank.decomp import builtin_state
 from tenrank.errors import InputError, ResourceError
-from tenrank.scalars import Scalar
+from tenrank.scalars import ZERO, Scalar
 from tenrank.tensors import (
     LocalOperatorTriple,
+    Tensor3,
     apply_local_operators,
     contract,
     flattening,
@@ -43,6 +45,20 @@ def test_make_tensor_ghz_and_w_unnormalized():
     w = w_state()
     assert {idx for idx, _ in w.nonzeros()} == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
     assert all(v == 1 for _, v in w.nonzeros())
+
+
+def test_fresh_zero_scalars_read_like_the_shared_zero():
+    # to_numpy and nonzeros skip the shared ZERO by identity; zeros that are
+    # other Scalar objects must still be skipped by value
+    values = {(0, 0, 1): Scalar(Fraction(1, 2), 3), (1, 1, 0): Scalar(-2)}
+    shared = make_tensor((2, 2, 2), values)
+    fresh = Tensor3((2, 2, 2), [Scalar(0) if x == 0 else x for x in shared.entries])
+    assert not any(x is ZERO for x in fresh.entries)
+    assert np.array_equal(fresh.to_numpy(), shared.to_numpy())
+    assert list(fresh.nonzeros()) == list(shared.nonzeros()) == sorted(values.items())
+    expected = np.zeros((2, 2, 2), dtype=complex)
+    expected[0, 0, 1], expected[1, 1, 0] = 0.5 + 3j, -2
+    assert np.array_equal(fresh.to_numpy(), expected)
 
 
 def test_make_tensor_zero_and_errors():
