@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import linalg
 from .decomp import ProductDecomposition, Term, strassen7_decomposition, verify_decomposition
 from .errors import InputError, StateError
-from .scalars import ONE, ZERO, Scalar, as_scalar, scalar_from_json, scalar_to_json
+from .scalars import ONE, ZERO, Scalar, gaussian_integers, scalar_from_json, scalar_to_json
 from .tensors import LocalOperatorTriple, Tensor3, make_tensor
 
 
@@ -241,21 +242,16 @@ class _Rows(NamedTuple):
 
 
 def _sparse_rows(matrix) -> _Rows:
-    matrix = [[as_scalar(c) for c in row] for row in matrix]
-    den = math.lcm(*(part.denominator for row in matrix for c in row
-                     for part in (c.re, c.im)))
+    re, im, den = gaussian_integers(c for row in matrix for c in row)
+    entries = iter(zip(re, im))
     rows, ops = [], []
     for row in matrix:
-        nonzero = [(j, c) for j, c in enumerate(row) if c]
-        rows.append(tuple((j, _scaled(c.re, den), _scaled(c.im, den)) for j, c in nonzero))
-        scaled = sum(bool(c.im) or c.re not in (1, -1) for _, c in nonzero)
+        nonzero = [(j, cr, ci) for j, (cr, ci) in enumerate(islice(entries, len(row)))
+                   if cr or ci]
+        rows.append(tuple(nonzero))
+        scaled = sum(ci != 0 or cr not in (den, -den) for _, cr, ci in nonzero)
         ops.append(max(len(nonzero) - 1, 0) + scaled)
     return _Rows(tuple(rows), tuple(ops), den)
-
-
-def _scaled(part: Fraction, den: int) -> int:
-    """part * den for a denominator den that part's divides."""
-    return part.numerator * (den // part.denominator)
 
 
 class _Prepared(NamedTuple):
@@ -384,13 +380,12 @@ def _product(prog: BilinearProgram, a, b, levels: int, count: MulCount):
 def _exact_arrays(matrix, padded: int | None = None):
     """Exact matrix -> ((re, im) pair of (1, R, C) object arrays of Python
     ints, common denominator), zero-padded to padded x padded if given."""
-    rows = [[as_scalar(v) for v in row] for row in matrix]
-    den = math.lcm(*(part.denominator for row in rows for v in row for part in (v.re, v.im)))
-    shape = (1, padded or len(rows), padded or (len(rows[0]) if rows else 0))
+    re, im, den = gaussian_integers(v for row in matrix for v in row)
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    shape = (1, padded or rows, padded or cols)
     parts = (np.zeros(shape, dtype=object), np.zeros(shape, dtype=object))
-    for i, row in enumerate(rows):
-        parts[0][0, i, :len(row)] = [_scaled(v.re, den) for v in row]
-        parts[1][0, i, :len(row)] = [_scaled(v.im, den) for v in row]
+    for part, values in zip(parts, (re, im)):
+        part[0, :rows, :cols] = np.array(values, dtype=object).reshape(rows, cols)
     return parts, den
 
 

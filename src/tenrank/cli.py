@@ -191,7 +191,7 @@ def _cmd_rank(args) -> int:
             lines.append(f"als r={args.als}: Found, residual={found.residual:.3e}")
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(float_decomposition_to_json(t.dims, found.factors), fh)
+                    fh.write(json.dumps(float_decomposition_to_json(t.dims, found.factors)))
                 lines.append(f"wrote float decomposition {args.out}")
         else:
             lines.append(
@@ -246,7 +246,7 @@ def _cmd_convert(args) -> int:
         fidelity = overlap / (np.linalg.norm(outcome) * np.linalg.norm(target))
         out_path = args.out or "protocol.json"
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(protocol_to_json(protocol), fh)
+            fh.write(json.dumps(protocol_to_json(protocol)))
         print(json.dumps({
             "fidelity": float(fidelity),
             "probability": probability,

@@ -10,6 +10,7 @@ flattening ranks and from the RankFacts registry of known exact ranks.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import random
 from collections.abc import Sequence
@@ -23,7 +24,7 @@ import numpy as np
 from . import linalg, sampling
 from .als import AlsConfig, AlsResult, als_decompose
 from .errors import InputError, ResourceError, WitnessMismatch
-from .scalars import ONE, ZERO, Scalar, scalar_from_json, scalar_to_json
+from .scalars import ONE, ZERO, Scalar, gaussian_integers, scalar_from_json, scalar_to_json
 from .tensors import (
     ENTRY_CAP,
     LocalOperatorTriple,
@@ -73,9 +74,11 @@ class ProductDecomposition:
 
 
 def make_decomposition(dims, terms) -> ProductDecomposition:
-    """Validated constructor: vector lengths must match dims and no term
-    may contain an all-zero vector."""
+    """Validated constructor: dims must be positive, vector lengths must
+    match them and no term may contain an all-zero vector."""
     da, db, dc = dims
+    if min(da, db, dc) < 1:
+        raise InputError(f"dimensions must be positive, got {tuple(dims)}")
     built = []
     for k, term in enumerate(terms):
         a, b, c = (linalg.vector(v) for v in term)
@@ -130,25 +133,56 @@ class KroneckerPowerTerms(Sequence):
 # ---------------------------------------------------------------------------
 
 
-def reconstruct(d: ProductDecomposition) -> Tensor3:
-    """Densely rebuild sum_k a_k (x) b_k (x) c_k (subject to the entry cap)."""
+#: reconstruction forms the a (x) b outer products of this many scalars at
+#: most at a time, so its temporaries stay small for any term count
+_CHUNK_SCALARS = 1 << 18
+
+
+def _dense_numerators(d: ProductDecomposition):
+    """The dense reconstruction of d as Gaussian integers: a flat row-major
+    (re, im) pair of numpy arrays over one common denominator.
+
+    Each leg's r x d coefficient matrix becomes integer numerators over its
+    own common denominator; the a (x) b outer products, an (r, dA*dB) pair,
+    meet c in four matmuls.  Every partial sum is bounded by
+    4 r max|a| max|b| max|c| (max over real and imaginary numerators), so
+    the arrays are int64 when that bound is below 2^62 and hold Python ints
+    (dtype object) otherwise; either way the result is exact.
+    """
     da, db, dc = d.dims
     if da * db * dc > ENTRY_CAP:
         raise ResourceError(f"reconstruction of dims {d.dims} exceeds the dense cap")
-    acc = [ZERO] * (da * db * dc)
-    for term in d.terms:
-        for i, ai in enumerate(term.a):
-            if not ai:
-                continue
-            for j, bj in enumerate(term.b):
-                if not bj:
-                    continue
-                ab = ai * bj
-                base = (i * db + j) * dc
-                for k, ck in enumerate(term.c):
-                    if ck:
-                        acc[base + k] = acc[base + k] + ab * ck
-    return Tensor3(d.dims, acc)
+    terms = list(d.terms)
+    r = len(terms)
+    legs = [gaussian_integers(x for term in terms for x in term[leg]) for leg in range(3)]
+    # a leg of zeros counts as 1, so every numerator also lies below the bound
+    bound = 4 * r * math.prod(max(map(abs, re + im), default=0) or 1 for re, im, _ in legs)
+    dtype = np.int64 if bound < 1 << 62 else object
+    (ar, ai), (br, bi), (cr, ci) = (
+        tuple(np.array(part, dtype=dtype).reshape(r, dim) for part in (re, im))
+        for (re, im, _), dim in zip(legs, d.dims))
+    out_re = np.zeros((da * db, dc), dtype=dtype)
+    out_im = np.zeros((da * db, dc), dtype=dtype)
+    step = max(1, _CHUNK_SCALARS // (da * db))
+    for first in range(0, r, step):
+        k = slice(first, first + step)
+        a_re, a_im = ar[k, :, None], ai[k, :, None]
+        b_re, b_im = br[k, None, :], bi[k, None, :]
+        ab_re = (a_re * b_re - a_im * b_im).reshape(-1, da * db).T
+        ab_im = (a_re * b_im + a_im * b_re).reshape(-1, da * db).T
+        out_re += ab_re @ cr[k] - ab_im @ ci[k]
+        out_im += ab_re @ ci[k] + ab_im @ cr[k]
+    return out_re.ravel(), out_im.ravel(), math.prod(den for _, _, den in legs)
+
+
+def reconstruct(d: ProductDecomposition) -> Tensor3:
+    """Densely rebuild sum_k a_k (x) b_k (x) c_k (subject to the entry cap)."""
+    re, im, den = _dense_numerators(d)
+    nonzero = np.flatnonzero((re != 0) | (im != 0))
+    entries = [ZERO] * len(re)
+    for flat, x, y in zip(nonzero.tolist(), re[nonzero].tolist(), im[nonzero].tolist()):
+        entries[flat] = Scalar(Fraction(x, den), Fraction(y, den))
+    return Tensor3(d.dims, entries)
 
 
 @dataclass(frozen=True)
@@ -164,14 +198,14 @@ class VerifyResult:
 def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
     """Check T = sum of d's terms, exactly.
 
-    Up to DENSE_VERIFY_LIMIT terms the sum is reconstructed densely and
-    compared entrywise (first differing index reported in row-major
-    order); an exact match certifies rank(T) <= r.  Beyond the limit the
-    check falls back to the randomized contraction identity against dense
-    rational probes, which is one-sided: a reported match holds with
-    probability 1 up to the vanishing chance that every probe hits a root
-    of the nonzero difference polynomial.  A decomposition with other dims
-    raises WitnessMismatch.
+    Up to DENSE_VERIFY_LIMIT terms the sum is reconstructed densely as
+    Gaussian integers over one common denominator and compared entrywise
+    (first differing index reported in row-major order); an exact match
+    certifies rank(T) <= r.  Beyond the limit the check falls back to the
+    randomized contraction identity against dense rational probes, which is
+    one-sided: a reported match holds with probability 1 up to the
+    vanishing chance that every probe hits a root of the nonzero difference
+    polynomial.  A decomposition with other dims raises WitnessMismatch.
     """
     if t.dims != d.dims:
         raise WitnessMismatch(f"dims mismatch: tensor {t.dims} vs decomposition {d.dims}")
@@ -184,13 +218,20 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
             if contract(t, x, y, z) != decomposition_contract(d, x, y, z):
                 return VerifyResult(False, None, randomized=True)
         return VerifyResult(True, randomized=True)
-    rebuilt = reconstruct(d)
-    if rebuilt.entries == t.entries:
+    re, im, den = _dense_numerators(d)
+    # where t holds the shared ZERO the reconstruction must vanish; elsewhere
+    # compare the cross-multiplied numerators t_num * den == r_num * t_den
+    mismatch = (re != 0) | (im != 0)
+    nonzero = [flat for flat, x in enumerate(t.entries) if x is not ZERO]
+    t_re, t_im, t_den = gaussian_integers(t.entries[flat] for flat in nonzero)
+    mismatch[nonzero] = [x * t_den != p * den or y * t_den != q * den
+                         for x, y, p, q in zip(re[nonzero].tolist(), im[nonzero].tolist(),
+                                               t_re, t_im)]
+    bad = np.flatnonzero(mismatch)
+    if not bad.size:
         return VerifyResult(True)
-    flat = next(k for k, (lhs, rhs) in enumerate(zip(t.entries, rebuilt.entries))
-                if lhs != rhs)
     _, db, dc = t.dims
-    a, rest = divmod(flat, db * dc)
+    a, rest = divmod(int(bad[0]), db * dc)
     b, c = divmod(rest, dc)
     return VerifyResult(False, (a, b, c))
 
@@ -673,12 +714,14 @@ def decomposition_to_json(d: ProductDecomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> ProductDecomposition:
+    if not isinstance(obj, dict):
+        raise InputError(f"decomposition JSON must be an object, got {type(obj).__name__}")
     if obj.get("exact", True) is False:
         raise InputError("float decomposition cannot be loaded as an exact witness")
     try:
         dims = tuple(int(x) for x in obj["dims"])
         raw_terms = obj["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed decomposition JSON: {exc}") from exc
     if len(dims) != 3:
         raise InputError(f"decomposition JSON needs 3 dims, got {obj.get('dims')}")

@@ -9,6 +9,7 @@ JSON encoding used by all file formats ("p/q" fraction strings).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -143,6 +144,16 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, str):
         return Scalar(parse_rational(value))
     raise InputError(f"cannot interpret {value!r} as an exact scalar")
+
+
+def gaussian_integers(values) -> tuple[list, list, int]:
+    """Exact scalars as Gaussian integers over one common denominator:
+    (re, im, den) with values[k] == (re[k] + im[k] i) / den, den the least
+    common denominator of every part (1 for no values)."""
+    values = [as_scalar(v) for v in values]
+    den = math.lcm(*{part.denominator for v in values for part in (v.re, v.im)})
+    return ([v.re.numerator * (den // v.re.denominator) for v in values],
+            [v.im.numerator * (den // v.im.denominator) for v in values], den)
 
 
 # -- JSON encoding -----------------------------------------------------------

@@ -87,7 +87,7 @@ class Tensor3:
         return Tensor3(self.dims, tuple(factor * x for x in self.entries))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(x is not ZERO and x for x in self.entries)
 
     def nonzeros(self):
         """Yield ((a, b, c), value) for every nonzero entry, row-major."""
@@ -99,7 +99,7 @@ class Tensor3:
                 yield (a, b, c), value
 
     def nnz(self) -> int:
-        return sum(1 for x in self.entries if x)
+        return sum(1 for x in self.entries if x is not ZERO and x)
 
     def to_numpy(self) -> np.ndarray:
         entries = self.entries
@@ -114,7 +114,7 @@ class Tensor3:
         """Exact squared Frobenius norm."""
         total = Fraction(0)
         for x in self.entries:
-            if x:
+            if x is not ZERO and x:
                 total += x.abs2()
         return total
 
@@ -342,10 +342,12 @@ def tensor_to_json(t: Tensor3) -> dict:
 
 
 def tensor_from_json(obj: dict) -> Tensor3:
+    if not isinstance(obj, dict):
+        raise InputError(f"tensor JSON must be an object, got {type(obj).__name__}")
     try:
         dims = tuple(int(d) for d in obj["dims"])
         raw = obj.get("entries", [])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed tensor JSON: {exc}") from exc
     if len(dims) != 3:
         raise InputError(f"tensor JSON needs 3 dims, got {obj.get('dims')}")
@@ -357,6 +359,6 @@ def tensor_from_json(obj: dict) -> Tensor3:
                 raise InputError(f"malformed tensor JSON: index {list(index)} needs 3 components")
             value = scalar_from_json({"re": item.get("re", "0"), "im": item.get("im", "0")})
             entries.append((index, value))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed tensor JSON entry: {exc!r}") from exc
     return make_tensor(dims, entries)

@@ -1,10 +1,20 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from tenrank.als import AlsConfig
 from tenrank.cli import main
-from tenrank.decomp import builtin_state, decomposition_to_json, ghz_decomposition
+from tenrank.decomp import (
+    als_search,
+    builtin_state,
+    decomposition_from_json,
+    decomposition_to_json,
+    float_decomposition_to_json,
+    ghz_decomposition,
+)
+from tenrank.slocc import build_protocol, protocol_to_json
 from tenrank.tensors import tensor_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -164,6 +174,10 @@ def test_convert_w2_yes_with_simulation(capsys, tmp_path):
     assert lines[1]["probability"] > 0
     payload = json.loads(protocol_file.read_text())
     assert payload["source_dim"] == 8 and payload["success_probability"] > 0
+    # the file is the compact json.dumps text of the protocol, byte for byte
+    protocol = build_protocol(decomposition_from_json(json.loads(
+        resources.files("tenrank").joinpath("witnesses", "fiduccia8.json").read_text())), 8)
+    assert protocol_file.read_text() == json.dumps(protocol_to_json(protocol))
 
 
 def test_convert_phi3_no_exits_4(capsys):
@@ -240,6 +254,9 @@ def test_rank_als_writes_float_decomposition(capsys, tmp_path):
     assert code == 0 and "Found" in out
     payload = json.loads(out_file.read_text())
     assert payload["exact"] is False and len(payload["terms"]) == 2
+    found = als_search(builtin_state("GHZ", 2), 2, AlsConfig(seed=0))
+    assert out_file.read_text() == json.dumps(float_decomposition_to_json((2, 2, 2),
+                                                                          found.factors))
 
 
 def test_convert_unknown_exits_5(capsys):

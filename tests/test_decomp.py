@@ -2,18 +2,21 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import oracle_outer_sum
 
-from tenrank import linalg, sampling
-from tenrank.bilinear import matmul_tensor, phi3_matmul_witness
+from tenrank import decomp, linalg, sampling
+from tenrank.bilinear import matmul_tensor, naive_matmul_decomposition, phi3_matmul_witness
 from tenrank.decomp import (
     DEFAULT_RANK_FACTS,
     KroneckerPowerTerms,
     ProductDecomposition,
     Rank222,
     Term,
+    VerifyResult,
+    _dense_numerators,
     builtin_decomposition,
     builtin_state,
     builtin_witness,
@@ -33,14 +36,16 @@ from tenrank.decomp import (
     w_rank3_decomposition,
 )
 from tenrank.errors import InputError, ResourceError, WitnessMismatch
-from tenrank.scalars import Scalar
+from tenrank.scalars import ZERO, Scalar
 from tenrank.tensors import (
     LocalOperatorTriple,
+    Tensor3,
     apply_local_operators,
     flattening_rank,
     make_tensor,
     max_flattening_rank,
     tensor_product,
+    zero_tensor,
 )
 
 
@@ -132,6 +137,169 @@ def test_verify_against_independent_reconstruction_oracle():
         expected = oracle_outer_sum(dims, [(t.a, t.b, t.c) for t in d.terms])
         t = make_tensor(dims, expected)
         assert verify_decomposition(t, d).ok
+
+
+# -- the integer reconstruction kernel against the per-Scalar reference -------
+
+
+def reference_reconstruct(d):
+    """The per-Scalar dense reconstruction that the integer kernel replaced."""
+    da, db, dc = d.dims
+    acc = [ZERO] * (da * db * dc)
+    for term in d.terms:
+        for i, ai in enumerate(term.a):
+            if not ai:
+                continue
+            for j, bj in enumerate(term.b):
+                if not bj:
+                    continue
+                ab = ai * bj
+                base = (i * db + j) * dc
+                for k, ck in enumerate(term.c):
+                    if ck:
+                        acc[base + k] = acc[base + k] + ab * ck
+    return Tensor3(d.dims, acc)
+
+
+def reference_verify(t, d):
+    """Dense verification through reference_reconstruct, entry by entry."""
+    rebuilt = reference_reconstruct(d)
+    flat = next((k for k, (lhs, rhs) in enumerate(zip(t.entries, rebuilt.entries))
+                 if lhs != rhs), None)
+    if flat is None:
+        return VerifyResult(True)
+    _, db, dc = t.dims
+    a, rest = divmod(flat, db * dc)
+    b, c = divmod(rest, dc)
+    return VerifyResult(False, (a, b, c))
+
+
+def phi3_witness():
+    return transport(phi3_matmul_witness(), builtin_decomposition("STRASSEN7"))
+
+
+def kernel_corpus():
+    """(target, witness) pairs: the builtin witnesses, PHI3 (x) PHI3,
+    non-cubic dims, random complex sums with mixed denominators, and r = 0."""
+    phi3 = builtin_state("PHI3")
+    epr = make_decomposition((2, 2, 1), [((1, 0), (1, 0), (1,)), ((0, 1), (0, 1), (1,))])
+    pairs = [
+        (matmul_tensor(2, 2, 2), builtin_decomposition("STRASSEN7")),
+        (builtin_state("W2"), builtin_decomposition("FIDUCCIA8_W2")),
+        (builtin_state("GHZ", 5), ghz_decomposition(5)),
+        (builtin_state("W"), w_rank3_decomposition()),
+        (phi3, phi3_witness()),
+        (tensor_product(phi3, phi3), decomposition_power(phi3_witness(), 2)),
+        (builtin_state("EPR"), epr),
+        (matmul_tensor(2, 3, 2), naive_matmul_decomposition(2, 3, 2)),
+        (zero_tensor((2, 3, 2)), ProductDecomposition((2, 3, 2), ())),
+    ]
+    rng = random.Random(71)
+    for _ in range(12):
+        dims = tuple(rng.randint(1, 4) for _ in range(3))
+        terms = [tuple(sampling.nonzero_vector(rng, n, complex_parts=True, max_num=9,
+                                               max_den=12) for n in dims)
+                 for _ in range(rng.randint(1, 5))]
+        pairs.append((make_tensor(dims, oracle_outer_sum(dims, terms)),
+                      make_decomposition(dims, terms)))
+    return pairs
+
+
+def test_kernel_matches_per_scalar_reference(monkeypatch):
+    for t, d in kernel_corpus():
+        assert reconstruct(d) == reference_reconstruct(d) == t
+        # the same sums when the outer products come a few terms at a time
+        with monkeypatch.context() as patch:
+            patch.setattr(decomp, "_CHUNK_SCALARS", 5)
+            assert reconstruct(d) == t
+        assert verify_decomposition(t, d) == reference_verify(t, d) == VerifyResult(True)
+        # zeros that are fresh Scalars, not the shared ZERO, compare by value
+        fresh = Tensor3(t.dims, [Scalar(0) if x == 0 else x for x in t.entries])
+        assert verify_decomposition(fresh, d) == VerifyResult(True)
+    target, empty = matmul_tensor(2, 3, 2), ProductDecomposition((6, 6, 4), ())
+    assert verify_decomposition(target, empty) == reference_verify(target, empty) \
+        == VerifyResult(False, (0, 0, 0))
+
+
+def test_kernel_mismatches_match_per_scalar_reference():
+    rng = random.Random(72)
+    for t, d in kernel_corpus():
+        real = all(not x.im for term in d.terms for leg in term for x in leg)
+        for _ in range(3):
+            bump = Scalar(0, sampling.rational(rng, max_num=5, max_den=6) or 1)
+            # a witness whose c-leg gained an imaginary part: for a real
+            # witness the mismatch lies in imaginary parts only
+            if d.terms:
+                k, j = rng.randrange(len(d.terms)), rng.randrange(d.dims[2])
+                term = d.terms[k]
+                c = term.c[:j] + (term.c[j] + bump,) + term.c[j + 1:]
+                terms = tuple(d.terms)
+                wrong = ProductDecomposition(d.dims, terms[:k] + (Term(term.a, term.b, c),)
+                                             + terms[k + 1:])
+                rebuilt = reconstruct(wrong)
+                assert rebuilt == reference_reconstruct(wrong)
+                if real:
+                    assert all(not (x - y).re for x, y in zip(rebuilt.entries, t.entries))
+                result = verify_decomposition(t, wrong)
+                assert not result.ok and result == reference_verify(t, wrong)
+            # a target off by an imaginary bump at one entry, zero or not
+            flat = rng.randrange(len(t.entries))
+            entries = list(t.entries)
+            entries[flat] = entries[flat] + bump
+            wrong_target = Tensor3(t.dims, entries)
+            result = verify_decomposition(wrong_target, d)
+            assert result == reference_verify(wrong_target, d)
+            _, db, dc = t.dims
+            assert result == VerifyResult(False, (flat // (db * dc), flat // dc % db, flat % dc))
+
+
+def test_kernel_switches_to_python_ints_past_the_int64_bound():
+    # numerators near 2^21 in every leg: 4 r max|a| max|b| max|c| >= 2^62
+    rng = random.Random(73)
+    dims = (3, 2, 4)
+    terms = []
+    for _ in range(3):
+        terms.append(tuple(
+            tuple(Scalar(Fraction(rng.choice((-1, 1)) * (2 ** 21 - rng.randrange(9)),
+                                  rng.choice((1, 3, 5))),
+                         rng.randrange(-2 ** 21, 2 ** 21)) for _ in range(n))
+            for n in dims))
+    d = make_decomposition(dims, terms)
+    assert _dense_numerators(d)[0].dtype == object
+    target = reference_reconstruct(d)
+    assert reconstruct(d) == target
+    assert verify_decomposition(target, d) == VerifyResult(True)
+    entries = list(target.entries)
+    entries[13] = entries[13] + Scalar(0, Fraction(1, 7))
+    wrong = Tensor3(dims, entries)
+    assert verify_decomposition(wrong, d) == reference_verify(wrong, d) \
+        == VerifyResult(False, (1, 1, 1))
+    # two equal terms, each (A + Ai)(B + Bi)(C + Ci) = 2ABC(-1 + i) up to sign:
+    # int64 while 4 r ABC = 8ABC < 2^62, Python ints from 8ABC = 2^62 on
+    for c, dtype in ((2 ** 19 - 1, np.int64), (2 ** 19, object)):
+        legs = tuple((Scalar(x, x), Scalar(-x, -x)) for x in (2 ** 20, 2 ** 20, c))
+        d = make_decomposition((2, 2, 2), [legs, legs])
+        re, im, den = _dense_numerators(d)
+        assert re.dtype == dtype and den == 1
+        assert reconstruct(d) == reference_reconstruct(d)
+        assert max(abs(int(x)) for x in im) == 4 * 2 ** 40 * c
+
+
+def test_dense_verification_makes_no_scalar_multiplications(monkeypatch):
+    phi3 = builtin_state("PHI3")
+    t, d = tensor_product(phi3, phi3), decomposition_power(phi3_witness(), 2)
+    calls = []
+    original = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    assert verify_decomposition(t, d).ok
+    assert len(d.terms) == 49 and calls == []
+    Scalar(2) * Scalar(3)
+    assert len(calls) == 1
 
 
 def test_builtin_pairs_term_count_dominates_flattenings():

@@ -1,0 +1,114 @@
+"""Property tests: malformed tensor and witness JSON never escapes as a
+traceback.
+
+Every payload either parses, or the parser raises InputError and the CLI
+prints one "error:" line and exits 2.  Payloads are arbitrary JSON values
+and single-field replacements or deletions in a valid file.  Numbers stay
+small (plus the infinities and NaN that JSON readers accept), so the
+dense-storage cap, a separate ResourceError, is not what runs here.
+Examples are derandomized and bounded, so the suite stays deterministic.
+"""
+
+import json
+import math
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from tenrank.cli import main
+from tenrank.decomp import decomposition_from_json, decomposition_to_json, w_rank3_decomposition
+from tenrank.errors import InputError
+from tenrank.tensors import tensor_from_json
+
+FUZZ = settings(derandomize=True, max_examples=100, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+KEYS = ["dims", "entries", "terms", "exact", "i", "re", "im", "a", "b", "c"]
+#: short strings over the characters of rationals and of a few keys
+TEXT = st.text(alphabet="0123456789/-+. eEabcijmx", max_size=5)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | TEXT
+    | st.floats(-8, 8) | st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.sampled_from(["1/2", "-3", "0", "1/0", "x"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+VALID_TENSOR = {"dims": [2, 2, 2], "entries": [{"i": [0, 0, 1], "re": "1"},
+                                               {"i": [1, 1, 0], "re": "1/2", "im": "-3"}]}
+VALID_WITNESS = decomposition_to_json(w_rank3_decomposition())
+
+
+def _paths(value, path=()):
+    """Every path to a sub-value of a JSON value, the root included."""
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _edited(value, path, replacement, delete):
+    if not path:
+        return replacement
+    head, rest = path[0], path[1:]
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if delete and not rest:
+        del copy[head]
+    else:
+        copy[head] = _edited(value[head], rest, replacement, delete)
+    return copy
+
+
+def payloads(valid):
+    """Arbitrary JSON, or `valid` with one sub-value replaced or deleted."""
+    paths = list(_paths(valid))
+    edits = st.builds(lambda path, new, delete: _edited(valid, path, new, delete and bool(path)),
+                      st.sampled_from(paths), json_values, st.booleans())
+    return json_values | edits
+
+
+def _parses(parse, payload) -> bool:
+    try:
+        parse(payload)
+    except InputError:
+        return False
+    return True
+
+
+def _run(capsys, tmp_path, payload, *argv):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code = main([arg.replace("FILE", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@FUZZ
+@given(payload=payloads(VALID_TENSOR))
+@example(payload=None)
+@example(payload=[2, 2, 2])
+@example(payload={"dims": [math.inf, 2, 2]})
+@example(payload={"dims": [2, 2, 2], "entries": [{"i": [0, -math.inf, 0], "re": "1"}]})
+def test_tensor_json_parses_or_exits_2(payload, capsys, tmp_path):
+    code, out, err = _run(capsys, tmp_path, payload, "state", "FILE")
+    if _parses(tensor_from_json, payload):
+        assert code == 0
+    else:
+        assert code == 2 and out == "" and err.startswith("error:"), (payload, err)
+
+
+@FUZZ
+@given(payload=payloads(VALID_WITNESS))
+@example(payload=None)
+@example(payload=[])
+@example(payload={"dims": [2, math.inf, 2], "terms": []})
+@example(payload={"dims": [0, 2, 2], "terms": []})
+def test_witness_json_parses_or_exits_2(payload, capsys, tmp_path):
+    code, out, err = _run(capsys, tmp_path, payload, "verify", "W", "--witness", "FILE")
+    if _parses(decomposition_from_json, payload):
+        assert code in (0, 3)
+    else:
+        assert code == 2 and out == "" and err.startswith("error:"), (payload, err)

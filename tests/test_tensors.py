@@ -48,8 +48,8 @@ def test_make_tensor_ghz_and_w_unnormalized():
 
 
 def test_fresh_zero_scalars_read_like_the_shared_zero():
-    # to_numpy and nonzeros skip the shared ZERO by identity; zeros that are
-    # other Scalar objects must still be skipped by value
+    # to_numpy, nonzeros, nnz, norm_sq and is_zero skip the shared ZERO by
+    # identity; zeros that are other Scalar objects must still be skipped by value
     values = {(0, 0, 1): Scalar(Fraction(1, 2), 3), (1, 1, 0): Scalar(-2)}
     shared = make_tensor((2, 2, 2), values)
     fresh = Tensor3((2, 2, 2), [Scalar(0) if x == 0 else x for x in shared.entries])
@@ -59,6 +59,11 @@ def test_fresh_zero_scalars_read_like_the_shared_zero():
     expected = np.zeros((2, 2, 2), dtype=complex)
     expected[0, 0, 1], expected[1, 1, 0] = 0.5 + 3j, -2
     assert np.array_equal(fresh.to_numpy(), expected)
+    assert fresh.nnz() == shared.nnz() == 2
+    assert fresh.norm_sq() == shared.norm_sq() == Fraction(1, 4) + 9 + 4
+    assert not fresh.is_zero() and not shared.is_zero()
+    fresh_zero = Tensor3((2, 2, 2), [Scalar(0)] * 8)
+    assert fresh_zero.is_zero() and fresh_zero.nnz() == 0 and fresh_zero.norm_sq() == 0
 
 
 def test_make_tensor_zero_and_errors():
