@@ -40,6 +40,7 @@ from .decomp import (
     decomposition_power,
     decomposition_to_json,
     make_decomposition,
+    rank_bounds,
     rank_leq2_test_2x2x2,
     rationalize_result,
     reconstruct,

@@ -34,13 +34,13 @@ from . import sampling
 from .als import AlsConfig
 from .bilinear import strassen_multiply, strassen_multiply_float
 from .decomp import (
-    DEFAULT_RANK_FACTS,
     Rank222,
     builtin_state,
     builtin_witness,
     decomposition_from_json,
     decomposition_power,
     float_decomposition_to_json,
+    rank_bounds,
     rank_leq2_test_2x2x2,
     verify_decomposition,
     verify_power_randomized,
@@ -56,7 +56,7 @@ from .slocc import (
     simulate,
     verdict_to_json,
 )
-from .tensors import Tensor3, flattening_rank, tensor_from_json, tensor_to_json
+from .tensors import Tensor3, tensor_from_json, tensor_to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -148,22 +148,14 @@ def _cmd_state(args) -> int:
 
 def _cmd_rank(args) -> int:
     t = _resolve_tensor(args.tensor, args.n, args.dims)
-    ranks = {leg: flattening_rank(t, leg) for leg in ("A", "B", "C")}
-    lower = max(ranks.values())
+    bounds = rank_bounds(t)
+    ranks, lower, upper = bounds.flattening_ranks, bounds.lower, bounds.upper
     payload = {"flattening_ranks": ranks, "lower": lower}
     lines = [f"flattening ranks A={ranks['A']} B={ranks['B']} C={ranks['C']}"]
-
-    upper = None
-    fact_hit = DEFAULT_RANK_FACTS.lookup(t)
-    if fact_hit is not None:
-        name, fact = fact_hit
-        lower = max(lower, fact.rank)
+    if bounds.fact is not None:
+        name, fact = bounds.fact
         payload["known_rank"] = {"state": name, "rank": fact.rank, "note": fact.note}
-        payload["lower"] = lower
         lines.append(f"registered exact rank: {name} -> {fact.rank} ({fact.note})")
-        builtin = builtin_witness(t, name)
-        if builtin is not None:
-            upper = len(builtin.terms)
 
     if args.witness:
         witness = _resolve_witness(args.witness)

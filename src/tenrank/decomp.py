@@ -4,7 +4,8 @@ numeric search and small exact certificates.
 A ProductDecomposition asserts T = sum_k a_k (x) b_k (x) c_k and is the
 package's currency for tensor-rank upper bounds: an ExactMatch from
 `verify_decomposition` certifies rank(T) <= r.  Lower bounds come from
-flattening ranks and from the RankFacts registry of known exact ranks.
+flattening ranks and from the RankFacts registry of known exact ranks;
+`rank_bounds` combines both with the packaged witnesses.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import InputError, ResourceError, WitnessMismatch
 from .scalars import ONE, ZERO, Scalar, gaussian_integers, scalar_from_json, scalar_to_json
 from .tensors import (
     ENTRY_CAP,
+    LEGS,
     LocalOperatorTriple,
     Tensor3,
     contract,
@@ -435,8 +437,7 @@ def term_cap() -> int:
         raise InputError(f"invalid TENRANK_TERM_CAP {value!r}") from exc
 
 
-def decomposition_power(d: ProductDecomposition, n: int,
-                        cap: int | None = None) -> ProductDecomposition:
+def decomposition_power(d: ProductDecomposition, n: int) -> ProductDecomposition:
     """The n-fold Kronecker power: r^n terms, each a leg-wise Kronecker
     product of one base term per copy; reconstructs the n-fold tensor
     product of d's target.
@@ -452,7 +453,7 @@ def decomposition_power(d: ProductDecomposition, n: int,
                          "raise the base decomposition instead")
     r = len(d.terms)
     total = r ** n
-    limit = cap if cap is not None else term_cap()
+    limit = term_cap()
     if total > limit:
         raise ResourceError(f"{r}^{n} = {total} terms exceeds the term cap {limit}")
     dims = tuple(dim ** n for dim in d.dims)
@@ -587,12 +588,6 @@ class RankFacts:
             "W": RankFact(3, "three-qubit W class: border rank 2, exact rank 3"),
         }
 
-    def lookup_named(self, name: str) -> RankFact | None:
-        key = name.upper()
-        if key.startswith("GHZ"):
-            return None  # parameterized; use lookup() on the tensor
-        return self._named.get(key)
-
     def lookup(self, t: Tensor3) -> tuple[str, RankFact] | None:
         """Exact-match a tensor against the registered states."""
         da, db, dc = t.dims
@@ -626,6 +621,39 @@ def builtin_witness(target: Tensor3, name: str) -> ProductDecomposition | None:
     else:
         return None
     return require_witness(target, witness)
+
+
+@dataclass(frozen=True)
+class RankBounds:
+    """Everything the package knows about rank(target) without a caller's
+    witness: the flattening ranks (leg -> rank), the registered fact
+    (name, RankFact) or None, and the packaged witness or None."""
+
+    target: Tensor3
+    flattening_ranks: dict
+    fact: tuple[str, RankFact] | None
+
+    @property
+    def lower(self) -> int:
+        return max(*self.flattening_ranks.values(), self.fact[1].rank if self.fact else 0)
+
+    @cached_property
+    def witness(self) -> ProductDecomposition | None:
+        """Built and verified against the target on first use, so a verdict
+        the lower bound decides pays for no witness."""
+        return None if self.fact is None else builtin_witness(self.target, self.fact[0])
+
+    @property
+    def upper(self) -> int | None:
+        return None if self.witness is None else len(self.witness.terms)
+
+
+def rank_bounds(t: Tensor3) -> RankBounds:
+    """The lower and upper rank bounds of t from flattenings, the
+    RankFacts registry and the packaged witnesses; the one place these
+    sources are combined."""
+    return RankBounds(t, {leg: flattening_rank(t, leg) for leg in LEGS},
+                      DEFAULT_RANK_FACTS.lookup(t))
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,8 @@ def gaussian_integers(values) -> tuple[list, list, int]:
 # -- JSON encoding -----------------------------------------------------------
 #
 # Real scalars serialize as a single "p/q" string; complex scalars as
-# {"re": "p/q", "im": "p/q"}.  Float (inexact) values use plain JSON numbers
-# in the object form and are only accepted when allow_float=True.
+# {"re": "p/q", "im": "p/q"}; integers may stand for either part.  Float
+# (inexact) parts are rejected: every decoded scalar is exact.
 
 
 def scalar_to_json(value: Scalar):
@@ -169,12 +169,8 @@ def scalar_to_json(value: Scalar):
     return {"re": format_rational(value.re), "im": format_rational(value.im)}
 
 
-def scalar_from_json(obj, allow_float: bool = False):
-    """Decode a scalar from its JSON form.
-
-    Returns a Scalar for exact input; with allow_float=True, numeric
-    {"re": x, "im": y} objects decode to a Python complex instead.
-    """
+def scalar_from_json(obj) -> Scalar:
+    """Decode an exact scalar from its JSON form (InputError otherwise)."""
     if isinstance(obj, str):
         return Scalar(parse_rational(obj))
     if isinstance(obj, int):
@@ -182,11 +178,7 @@ def scalar_from_json(obj, allow_float: bool = False):
     if isinstance(obj, dict):
         re, im = obj.get("re", 0), obj.get("im", 0)
         if isinstance(re, float) or isinstance(im, float):
-            if not allow_float:
-                raise InputError("float scalar where an exact rational is required")
-            if not all(isinstance(part, (int, float)) for part in (re, im)):
-                raise InputError(f"invalid scalar encoding: {obj!r}")
-            return complex(re, im)
+            raise InputError("float scalar where an exact rational is required")
         return Scalar(
             re if isinstance(re, int) else parse_rational(re),
             im if isinstance(im, int) else parse_rational(im),

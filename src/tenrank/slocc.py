@@ -19,23 +19,16 @@ import numpy as np
 
 from .als import AlsConfig
 from .decomp import (
-    DEFAULT_RANK_FACTS,
     ProductDecomposition,
-    RankFacts,
     als_search,
-    builtin_witness,
+    rank_bounds,
     rationalize_result,
     reconstruct,
     require_witness,
 )
 from .errors import InputError, ResourceError
 from .scalars import ZERO
-from .tensors import (
-    LocalOperatorTriple,
-    Tensor3,
-    flattening_rank,
-    max_flattening_rank,
-)
+from .tensors import LocalOperatorTriple, Tensor3, flattening_rank
 
 #: dense protocol operators are only assembled up to this GHZ level
 PROTOCOL_DIM_CAP = 1 << 14
@@ -189,7 +182,6 @@ class ConvertVerdict:
 
 def decide_ghz_conversion(target: Tensor3, n: int,
                           witness: ProductDecomposition | None = None,
-                          rank_facts: RankFacts = DEFAULT_RANK_FACTS,
                           search: bool = True,
                           als_cfg: AlsConfig | None = None) -> ConvertVerdict:
     """Decide GHZ(n) -> target convertibility where decidable.
@@ -198,7 +190,8 @@ def decide_ghz_conversion(target: Tensor3, n: int,
     builtin, or found numerically and rationalized); No requires a lower
     bound above n from flattening ranks or the registered exact ranks.
     Anything else is Unknown with both bounds reported.  A caller witness
-    that does not reconstruct the target raises WitnessMismatch.
+    that does not reconstruct the target raises WitnessMismatch.  A caller
+    witness with at most n terms decides before any rank bound is computed.
     """
     if n < 1:
         raise InputError("GHZ level count must be positive")
@@ -209,29 +202,24 @@ def decide_ghz_conversion(target: Tensor3, n: int,
             return ConvertVerdict("yes", witness=witness, upper_bound=upper,
                                   lower_bound=None)
 
-    lower = max_flattening_rank(target)
+    bounds = rank_bounds(target)
+    flattening = max(bounds.flattening_ranks.values())
+    lower = bounds.lower
+    if flattening > n:
+        return ConvertVerdict("no", reason=f"flattening rank {flattening} > {n}",
+                              lower_bound=flattening, upper_bound=upper)
     if lower > n:
+        # above the flattening ranks, the lower bound is a registered fact
+        name, fact = bounds.fact
         return ConvertVerdict(
             "no",
-            reason=f"flattening rank {lower} > {n}",
+            reason=f"registered exact rank of {name} is {fact.rank} > {n} ({fact.note})",
             lower_bound=lower,
             upper_bound=upper,
         )
-    fact_hit = rank_facts.lookup(target)
-    if fact_hit is not None:
-        name, fact = fact_hit
-        lower = max(lower, fact.rank)
-        if fact.rank > n:
-            return ConvertVerdict(
-                "no",
-                reason=f"registered exact rank of {name} is {fact.rank} > {n} ({fact.note})",
-                lower_bound=fact.rank,
-                upper_bound=upper,
-            )
-        builtin = builtin_witness(target, name)
-        if builtin is not None and len(builtin.terms) <= n:
-            return ConvertVerdict("yes", witness=builtin,
-                                  upper_bound=len(builtin.terms), lower_bound=fact.rank)
+    if bounds.upper is not None and bounds.upper <= n:
+        return ConvertVerdict("yes", witness=bounds.witness,
+                              upper_bound=bounds.upper, lower_bound=lower)
 
     if search:
         found = als_search(target, n, als_cfg)
@@ -325,18 +313,13 @@ def classify_three_qubit(t: Tensor3) -> ThreeQubitClass:
 
 
 def schmidt_measure_bounds(t: Tensor3,
-                           witness: ProductDecomposition | None = None,
-                           rank_facts: RankFacts = DEFAULT_RANK_FACTS) -> tuple:
+                           witness: ProductDecomposition | None = None) -> tuple:
     """(lower, upper) bounds on log2 of the tensor rank.
 
-    The lower bound uses the best of the flattening ranks and any
-    registered exact rank; the upper bound is log2 of the witness term
-    count when a witness is given (None otherwise).
+    The lower bound is `rank_bounds(t).lower`; the upper bound is log2 of
+    the witness term count when a witness is given (None otherwise).
     """
-    lower_rank = max_flattening_rank(t)
-    fact_hit = rank_facts.lookup(t)
-    if fact_hit is not None:
-        lower_rank = max(lower_rank, fact_hit[1].rank)
+    lower_rank = rank_bounds(t).lower
     upper = None
     if witness is not None:
         upper = math.log2(len(require_witness(t, witness).terms))

@@ -27,6 +27,7 @@ from tenrank.decomp import (
     float_decomposition_to_json,
     ghz_decomposition,
     make_decomposition,
+    rank_bounds,
     rank_leq2_test_2x2x2,
     reconstruct,
     require_witness,
@@ -137,6 +138,18 @@ def test_verify_against_independent_reconstruction_oracle():
         expected = oracle_outer_sum(dims, [(t.a, t.b, t.c) for t in d.terms])
         t = make_tensor(dims, expected)
         assert verify_decomposition(t, d).ok
+
+
+def test_verify_randomized_fallback_above_the_dense_limit(monkeypatch):
+    monkeypatch.setattr(decomp, "DENSE_VERIFY_LIMIT", 3)
+    mm, d = matmul_tensor(2, 2, 2), builtin_decomposition("STRASSEN7")
+    assert verify_decomposition(mm, d) == VerifyResult(True, None, randomized=True)
+    first = d.terms[0]
+    bumped = (first.a[0] + 1,) + first.a[1:]
+    corrupted = ProductDecomposition(d.dims, (Term(bumped, first.b, first.c),) + d.terms[1:])
+    assert verify_decomposition(mm, corrupted) == VerifyResult(False, None, randomized=True)
+    with pytest.raises(WitnessMismatch):
+        verify_decomposition(builtin_state("W"), d)
 
 
 # -- the integer reconstruction kernel against the per-Scalar reference -------
@@ -445,8 +458,6 @@ def test_power_term_ordering_first_copy_is_high_digit():
 
 def test_power_cap_and_env_override(monkeypatch):
     d = builtin_decomposition("STRASSEN7")
-    with pytest.raises(ResourceError):
-        decomposition_power(d, 2, cap=48)
     monkeypatch.setenv("TENRANK_TERM_CAP", "48")
     with pytest.raises(ResourceError):
         decomposition_power(d, 2)
@@ -586,7 +597,28 @@ def test_rank_facts_lookup():
     name, fact = DEFAULT_RANK_FACTS.lookup(builtin_state("GHZ", 5))
     assert name == "GHZ(5)" and fact.rank == 5
     assert DEFAULT_RANK_FACTS.lookup(builtin_state("W2")) is None
-    assert DEFAULT_RANK_FACTS.lookup_named("PHI3").rank == 7
+
+
+def test_rank_bounds_on_a_fixed_corpus():
+    phi3 = builtin_state("PHI3")
+    ops = LocalOperatorTriple(*(sampling.invertible_matrix(random.Random(k), 4)
+                                for k in range(3)))
+    # (tensor, flattening ranks A/B/C, lower, upper, registered name)
+    corpus = [
+        (builtin_state("GHZ", 5), (5, 5, 5), 5, 5, "GHZ(5)"),
+        (builtin_state("W"), (2, 2, 2), 3, 3, "W"),
+        (phi3, (4, 4, 4), 7, 7, "PHI3"),
+        (builtin_state("W2"), (4, 4, 4), 4, None, None),
+        (builtin_state("EPR"), (2, 2, 1), 2, None, None),
+        (apply_local_operators(ops, phi3), (4, 4, 4), 4, None, None),
+    ]
+    for t, ranks, lower, upper, name in corpus:
+        bounds = rank_bounds(t)
+        assert bounds.flattening_ranks == dict(zip("ABC", ranks))
+        assert (bounds.lower, bounds.upper) == (lower, upper)
+        assert (bounds.fact[0] if bounds.fact else None) == name
+        if upper is not None:
+            assert verify_decomposition(t, bounds.witness).ok
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -106,6 +106,5 @@ def test_scalar_json_forms():
 def test_scalar_json_float_handling():
     with pytest.raises(InputError):
         scalar_from_json({"re": 0.5, "im": 0.0})
-    assert scalar_from_json({"re": 0.5, "im": -1.0}, allow_float=True) == 0.5 - 1j
     with pytest.raises(InputError):
         scalar_from_json([1, 2])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import oracle_rank
 
-from tenrank import linalg, sampling
+from tenrank import decomp, linalg, sampling, slocc, tensors
 from tenrank.bilinear import phi3_matmul_witness
 from tenrank.decomp import (
     Rank222,
@@ -184,6 +184,37 @@ def test_decide_with_explicit_witness():
     assert verdict.kind == "yes" and verdict.upper_bound == 8
     with pytest.raises(InputError):
         decide_ghz_conversion(w2, 8, witness=ghz_decomposition(4))
+
+
+def test_decide_computes_only_the_bounds_it_needs(monkeypatch):
+    # the caller-witness short-circuit precedes every rank bound (on a
+    # 16x16x16 target one flattening rank costs more than the whole
+    # request), and a lower bound above n builds no packaged witness
+    calls = []
+    flattening_rank, builtin_witness = tensors.flattening_rank, decomp.builtin_witness
+
+    def counting_rank(t, leg):
+        calls.append(leg)
+        return flattening_rank(t, leg)
+
+    def counting_witness(t, name):
+        calls.append(name)
+        return builtin_witness(t, name)
+
+    for module in (tensors, decomp, slocc):
+        monkeypatch.setattr(module, "flattening_rank", counting_rank)
+    monkeypatch.setattr(decomp, "builtin_witness", counting_witness)
+    w2, phi3 = builtin_state("W2"), builtin_state("PHI3")
+    verdict = decide_ghz_conversion(w2, 8, witness=builtin_decomposition("FIDUCCIA8_W2"))
+    assert verdict.kind == "yes" and calls == []
+    assert decide_ghz_conversion(w2, 8, search=False).kind == "unknown"
+    assert sorted(calls) == ["A", "B", "C"]
+    calls.clear()
+    assert decide_ghz_conversion(phi3, 4, search=False).kind == "no"
+    assert sorted(calls) == ["A", "B", "C"]
+    calls.clear()
+    assert decide_ghz_conversion(phi3, 7, search=False).kind == "yes"
+    assert sorted(calls) == ["A", "B", "C", "PHI3"]
 
 
 def test_decide_w_and_ghz_cases():

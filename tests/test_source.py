@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import tenrank
@@ -16,3 +17,21 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_trace_harness_names_resolve():
+    # the benchmark's traced run wraps these names with getattr; a missing
+    # one breaks only that run, so check them here
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module_name, names in spans.LAYERS.values():
+        module = importlib.import_module(module_name)
+        for name in names:
+            owner_name, _, attr = name.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if not callable(getattr(owner, attr, None)):
+                missing.append(f"{module_name}.{name}")
+    assert missing == []
