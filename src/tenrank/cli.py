@@ -21,6 +21,7 @@ mismatch, 4 convert No, 5 convert Unknown, 6 matmul check failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -432,7 +433,10 @@ def _add_tensor_arg(sub, name="tensor"):
                      help="dimensions when the builtin MATMUL is named")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call (not at import) and
+    reused by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="tenrank",
         description="Exact tensor-rank toolkit: states, rank witnesses, "
@@ -495,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -33,6 +33,7 @@ from .tensors import (
     Tensor3,
     contract,
     flattening_rank,
+    int_triple,
     make_tensor,
     slice_c,
     tensor_product,
@@ -221,10 +222,10 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
                 return VerifyResult(False, None, randomized=True)
         return VerifyResult(True, randomized=True)
     re, im, den = _dense_numerators(d)
-    # where t holds the shared ZERO the reconstruction must vanish; elsewhere
-    # compare the cross-multiplied numerators t_num * den == r_num * t_den
+    # off t's support the reconstruction must vanish; on it compare the
+    # cross-multiplied numerators t_num * den == r_num * t_den
     mismatch = (re != 0) | (im != 0)
-    nonzero = [flat for flat, x in enumerate(t.entries) if x is not ZERO]
+    nonzero = list(t.support)
     t_re, t_im, t_den = gaussian_integers(t.entries[flat] for flat in nonzero)
     mismatch[nonzero] = [x * t_den != p * den or y * t_den != q * den
                          for x, y, p, q in zip(re[nonzero].tolist(), im[nonzero].tolist(),
@@ -240,12 +241,22 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
 
 def require_witness(t: Tensor3, d: ProductDecomposition) -> ProductDecomposition:
     """Return d after verifying it against t; raise WitnessMismatch when
-    the dims differ or the check fails."""
+    the dims differ or the check fails.
+
+    A decomposition with a tuple or lazy-power term list remembers the
+    tensor object it last passed against, and the same pair (by identity;
+    both are immutable) is not verified again.  Any other tensor, equal or
+    not, is verified in full.
+    """
+    if getattr(d, "_verified_target", None) is t:
+        return d
     result = verify_decomposition(t, d)
     if not result.ok:
         raise WitnessMismatch(f"witness does not reconstruct the target "
                               f"(first mismatch at {result.first_mismatch})",
                               result.first_mismatch)
+    if isinstance(d.terms, (tuple, KroneckerPowerTerms)):
+        object.__setattr__(d, "_verified_target", t)
     return d
 
 
@@ -746,21 +757,16 @@ def decomposition_from_json(obj: dict) -> ProductDecomposition:
         raise InputError(f"decomposition JSON must be an object, got {type(obj).__name__}")
     if obj.get("exact", True) is False:
         raise InputError("float decomposition cannot be loaded as an exact witness")
-    try:
-        dims = tuple(int(x) for x in obj["dims"])
-        raw_terms = obj["terms"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed decomposition JSON: {exc}") from exc
-    if len(dims) != 3:
-        raise InputError(f"decomposition JSON needs 3 dims, got {obj.get('dims')}")
+    dims = int_triple(obj.get("dims"), "decomposition JSON dims")
     terms = []
+    memo = {}
     try:
-        for item in raw_terms:
+        for item in obj["terms"]:
             terms.append(tuple(
-                tuple(scalar_from_json(v) for v in item[leg]) for leg in ("a", "b", "c")
+                tuple(scalar_from_json(v, memo) for v in item[leg]) for leg in ("a", "b", "c")
             ))
     except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed decomposition JSON term: {exc!r}") from exc
+        raise InputError(f"malformed decomposition JSON: {exc!r}") from exc
     return make_decomposition(dims, terms)
 
 

@@ -169,16 +169,40 @@ def scalar_to_json(value: Scalar):
     return {"re": format_rational(value.re), "im": format_rational(value.im)}
 
 
-def scalar_from_json(obj) -> Scalar:
-    """Decode an exact scalar from its JSON form (InputError otherwise)."""
+def scalar_from_json(obj, memo: dict | None = None) -> Scalar:
+    """Decode an exact scalar from its JSON form (InputError otherwise).
+
+    JSON booleans and floats are rejected, never read as 0, 1 or a nearby
+    rational.  `memo` is a dict the caller keeps for one document: each
+    string form ("p/q", or the "re"/"im" pair of strings) decodes once and
+    its immutable Scalar is reused; a failure is never stored, so every
+    malformed occurrence raises.
+    """
+    if memo is None:
+        return _decode_scalar(obj)
+    if type(obj) is str:
+        key = obj
+    elif type(obj) is dict and type(obj.get("re")) is str and type(obj.get("im")) is str:
+        key = (obj["re"], obj["im"])
+    else:
+        return _decode_scalar(obj)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _decode_scalar(obj)
+    return value
+
+
+def _decode_scalar(obj) -> Scalar:
     if isinstance(obj, str):
         return Scalar(parse_rational(obj))
-    if isinstance(obj, int):
+    if type(obj) is int:
         return Scalar(obj)
     if isinstance(obj, dict):
         re, im = obj.get("re", 0), obj.get("im", 0)
         if isinstance(re, float) or isinstance(im, float):
             raise InputError("float scalar where an exact rational is required")
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise InputError("boolean scalar where an exact rational is required")
         return Scalar(
             re if isinstance(re, int) else parse_rational(re),
             im if isinstance(im, int) else parse_rational(im),

@@ -91,16 +91,24 @@ def build_protocol(d: ProductDecomposition, n: int,
     if target.is_zero():
         raise InputError("witness reconstructs the zero tensor; no protocol exists")
 
-    da, db, dc = d.dims
-    exact_ops = LocalOperatorTriple(
-        _operator_from_vectors([t.a for t in d.terms], da, n),
-        _operator_from_vectors([t.b for t in d.terms], db, n),
-        _operator_from_vectors([t.c for t in d.terms], dc, n),
-    )
+    legs = [[term[leg] for term in d.terms] for leg in range(3)]
+    exact_ops = LocalOperatorTriple(*(_operator_from_vectors(vectors, dim, n)
+                                      for vectors, dim in zip(legs, d.dims)))
+    # each distinct Scalar object becomes a complex once; the ZERO padding
+    # columns stay the zeros the array starts with
+    complexes = {}
+
+    def as_complex(x):
+        z = complexes.get(id(x))
+        if z is None:
+            z = complexes[id(x)] = complex(x)
+        return z
+
     float_ops = []
     scales = []
-    for m in (exact_ops.A, exact_ops.B, exact_ops.C):
-        arr = np.array([[complex(x) for x in row] for row in m], dtype=np.complex128)
+    for vectors, dim in zip(legs, d.dims):
+        arr = np.zeros((dim, n), dtype=np.complex128)
+        arr[:, :r] = np.array([[as_complex(x) for x in vector] for vector in vectors]).T
         sigma = float(np.linalg.svd(arr, compute_uv=False)[0])
         float_ops.append(arr / sigma)
         scales.append(sigma)
@@ -337,8 +345,8 @@ def _float_matrix_json(arr: np.ndarray) -> dict:
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
         "data": [
-            [{"re": float(z.real), "im": float(z.imag)} for z in row]
-            for row in arr
+            [{"re": x, "im": y} for x, y in zip(re_row, im_row)]
+            for re_row, im_row in zip(arr.real.tolist(), arr.imag.tolist())
         ],
     }
 

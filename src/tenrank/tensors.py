@@ -1,7 +1,9 @@
 """Dense order-3 tensors over exact scalars.
 
 A Tensor3 stores an unnormalized tripartite state as a flat tuple in
-row-major order: the A index is slowest, the C index fastest.  Kronecker
+row-major order: the A index is slowest, the C index fastest, together with
+its support, the ascending flat indices of its nonzero entries, so sparse
+states are read in time proportional to their nonzeros.  Kronecker
 products put the first factor in the high-order digit.  Both conventions
 are load-bearing for every builtin state and decomposition, so they are
 fixed here and locked by golden tests.
@@ -29,9 +31,14 @@ LEGS = ("A", "B", "C")
 
 
 class Tensor3:
-    """Immutable dense order-3 tensor of exact scalars."""
+    """Immutable dense order-3 tensor of exact scalars.
 
-    __slots__ = ("dims", "entries")
+    The support is recorded by `make_tensor` and computed on first use,
+    once, for a tensor built from dense entries; equality and hashing read
+    only `dims` and `entries`.
+    """
+
+    __slots__ = ("dims", "entries", "_support")
 
     def __init__(self, dims, entries):
         da, db, dc = dims
@@ -86,37 +93,44 @@ class Tensor3:
         factor = as_scalar(factor)
         return Tensor3(self.dims, tuple(factor * x for x in self.entries))
 
+    @property
+    def support(self) -> tuple:
+        """The flat row-major indices of the nonzero entries, ascending."""
+        try:
+            return self._support
+        except AttributeError:
+            # dense constructions fill structural zeros with the shared
+            # ZERO: skipping it by identity avoids Scalar.__bool__ there
+            support = tuple(flat for flat, x in enumerate(self.entries)
+                            if x is not ZERO and x)
+            object.__setattr__(self, "_support", support)
+            return support
+
     def is_zero(self) -> bool:
-        return not any(x is not ZERO and x for x in self.entries)
+        return not self.support
 
     def nonzeros(self):
         """Yield ((a, b, c), value) for every nonzero entry, row-major."""
-        da, db, dc = self.dims
-        for flat, value in enumerate(self.entries):
-            if value is not ZERO and value:
-                a, rest = divmod(flat, db * dc)
-                b, c = divmod(rest, dc)
-                yield (a, b, c), value
+        _, db, dc = self.dims
+        entries = self.entries
+        for flat in self.support:
+            a, rest = divmod(flat, db * dc)
+            b, c = divmod(rest, dc)
+            yield (a, b, c), entries[flat]
 
     def nnz(self) -> int:
-        return sum(1 for x in self.entries if x is not ZERO and x)
+        return len(self.support)
 
     def to_numpy(self) -> np.ndarray:
-        entries = self.entries
+        entries, support = self.entries, list(self.support)
         arr = np.zeros(len(entries), dtype=np.complex128)
-        # make_tensor fills unlisted entries with the shared ZERO: skipping
-        # it by identity avoids Scalar.__bool__ on every structural zero
-        nonzero = [flat for flat, x in enumerate(entries) if x is not ZERO and x]
-        arr[nonzero] = [complex(entries[flat]) for flat in nonzero]
+        arr[support] = [complex(entries[flat]) for flat in support]
         return arr.reshape(self.dims)
 
     def norm_sq(self) -> Fraction:
         """Exact squared Frobenius norm."""
-        total = Fraction(0)
-        for x in self.entries:
-            if x is not ZERO and x:
-                total += x.abs2()
-        return total
+        entries = self.entries
+        return sum((entries[flat].abs2() for flat in self.support), Fraction(0))
 
     def __repr__(self):
         return f"Tensor3(dims={self.dims}, nnz={self.nnz()})"
@@ -140,6 +154,7 @@ def make_tensor(dims, entries) -> Tensor3:
         )
     flat = [ZERO] * total
     seen = set()
+    support = []
     items = entries.items() if hasattr(entries, "items") else entries
     for index, value in items:
         a, b, c = index
@@ -148,8 +163,14 @@ def make_tensor(dims, entries) -> Tensor3:
         if (a, b, c) in seen:
             raise InputError(f"duplicate index {(a, b, c)}")
         seen.add((a, b, c))
-        flat[(a * db + b) * dc + c] = as_scalar(value)
-    return Tensor3((da, db, dc), flat)
+        offset = (a * db + b) * dc + c
+        flat[offset] = value = as_scalar(value)
+        if value:
+            support.append(offset)
+    t = Tensor3((da, db, dc), flat)
+    support.sort()
+    object.__setattr__(t, "_support", tuple(support))
+    return t
 
 
 def zero_tensor(dims) -> Tensor3:
@@ -328,7 +349,16 @@ def contract(t: Tensor3, x, y, z) -> Scalar:
 #  "entries": [{"i": [a, b, c], "re": "p/q", "im": "p/q"}, ...]}
 #
 # Omitted entries are zero; "im" may be omitted when zero; duplicate indices
-# are an error.
+# are an error.  Dims and indices are JSON integers: floats, booleans and
+# strings are rejected rather than coerced.
+
+
+def int_triple(value, what: str) -> tuple[int, int, int]:
+    """Three JSON integers as a tuple (InputError for anything else)."""
+    if (not isinstance(value, (list, tuple)) or len(value) != 3
+            or any(type(x) is not int for x in value)):
+        raise InputError(f"{what} must be 3 integers, got {value!r}")
+    return tuple(value)
 
 
 def tensor_to_json(t: Tensor3) -> dict:
@@ -344,21 +374,15 @@ def tensor_to_json(t: Tensor3) -> dict:
 def tensor_from_json(obj: dict) -> Tensor3:
     if not isinstance(obj, dict):
         raise InputError(f"tensor JSON must be an object, got {type(obj).__name__}")
-    try:
-        dims = tuple(int(d) for d in obj["dims"])
-        raw = obj.get("entries", [])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed tensor JSON: {exc}") from exc
-    if len(dims) != 3:
-        raise InputError(f"tensor JSON needs 3 dims, got {obj.get('dims')}")
+    dims = int_triple(obj.get("dims"), "tensor JSON dims")
     entries = []
+    memo = {}
     try:
-        for item in raw:
-            index = tuple(int(i) for i in item["i"])
-            if len(index) != 3:
-                raise InputError(f"malformed tensor JSON: index {list(index)} needs 3 components")
-            value = scalar_from_json({"re": item.get("re", "0"), "im": item.get("im", "0")})
+        for item in obj.get("entries", []):
+            index = int_triple(item["i"], "tensor JSON index")
+            value = scalar_from_json({"re": item.get("re", "0"), "im": item.get("im", "0")},
+                                     memo)
             entries.append((index, value))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed tensor JSON entry: {exc!r}") from exc
     return make_tensor(dims, entries)

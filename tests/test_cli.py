@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import tenrank
 from tenrank.als import AlsConfig
 from tenrank.cli import main
 from tenrank.decomp import (
     als_search,
+    builtin_decomposition,
     builtin_state,
     decomposition_from_json,
     decomposition_to_json,
@@ -225,8 +230,8 @@ def test_verify_and_rank_wrong_dims_witness_exit_3(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error:"), command
 
 
-def test_convert_simulate_verifies_caller_witness_twice(capsys, tmp_path, monkeypatch):
-    # once for the verdict, once when the protocol is built
+def test_convert_simulate_verifies_caller_witness_once(capsys, tmp_path, monkeypatch):
+    # for the verdict; building the protocol reuses that check of the same pair
     import sys
 
     from tenrank import decomp
@@ -245,7 +250,38 @@ def test_convert_simulate_verifies_caller_witness_twice(capsys, tmp_path, monkey
     code, _, _ = run(capsys, "convert", "W2", "--ghz", "8", "--witness", "fiduccia8.json",
                      "--simulate", "--out", str(tmp_path / "protocol.json"))
     assert code == 0
-    assert calls == [8, 8]
+    assert calls == [8]
+
+
+def test_convert_witness_with_a_repeated_malformed_string_exits_2(capsys, tmp_path):
+    payload = decomposition_to_json(builtin_decomposition("FIDUCCIA8_W2"))
+    for item in payload["terms"]:
+        item["a"] = ["1/0"] * 4
+    witness = tmp_path / "bad.json"
+    witness.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "convert", "W2", "--ghz", "8", "--witness", str(witness),
+                         "--simulate", "--out", str(tmp_path / "protocol.json"))
+    assert code == 2 and out == "" and err.startswith("error:") and "1/0" in err
+    assert not (tmp_path / "protocol.json").exists()
+
+
+def test_parser_is_built_on_the_first_main_call_and_reused():
+    # a fresh interpreter, so no earlier test has built the parser yet
+    script = """
+import contextlib, io
+from tenrank import cli
+assert cli._parser.cache_info().currsize == 0, "parser built at import"
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["classify", "W"]) == 0
+info = cli._parser.cache_info()
+assert (info.misses, info.hits) == (1, 1), info
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(tenrank.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rank_als_writes_float_decomposition(capsys, tmp_path):

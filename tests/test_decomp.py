@@ -37,7 +37,7 @@ from tenrank.decomp import (
     w_rank3_decomposition,
 )
 from tenrank.errors import InputError, ResourceError, WitnessMismatch
-from tenrank.scalars import ZERO, Scalar
+from tenrank.scalars import ZERO, Scalar, scalar_from_json
 from tenrank.tensors import (
     LocalOperatorTriple,
     Tensor3,
@@ -350,6 +350,37 @@ def test_require_witness_returns_or_raises_witness_mismatch():
     assert isinstance(info.value, InputError)
 
 
+def test_require_witness_skips_only_the_pair_it_already_passed(monkeypatch):
+    calls = []
+    original = decomp.verify_decomposition
+
+    def counting(t, d):
+        calls.append(t)
+        return original(t, d)
+
+    monkeypatch.setattr(decomp, "verify_decomposition", counting)
+    w, d = builtin_state("W"), w_rank3_decomposition()
+    assert require_witness(w, d) is d and require_witness(w, d) is d
+    assert calls == [w]
+    # a different tensor of the same dims is verified in full, and a
+    # failure leaves the remembered pair in place
+    wrong = make_tensor((2, 2, 2), {(0, 0, 1): 1, (0, 1, 0): 1})
+    for _ in range(2):
+        with pytest.raises(WitnessMismatch):
+            require_witness(wrong, d)
+    assert calls == [w, wrong, wrong]
+    assert require_witness(w, d) is d and len(calls) == 3
+    # an equal tensor that is another object is verified again
+    copy = Tensor3(w.dims, w.entries)
+    assert copy == w and copy is not w
+    assert require_witness(copy, d) is d and calls[-1] is copy
+    # a decomposition with a mutable term list is never remembered
+    listed = ProductDecomposition(d.dims, list(d.terms))
+    require_witness(w, listed)
+    require_witness(w, listed)
+    assert calls[-2:] == [w, w]
+
+
 def test_builtin_witness_is_verified_against_its_target():
     assert builtin_witness(builtin_state("W2"), "W2") is None
     with pytest.raises(WitnessMismatch):
@@ -642,6 +673,38 @@ def test_decomposition_json_complex_entries():
     assert decomposition_from_json(payload).terms[0].a[0] == Scalar(
         Fraction(1, 2), Fraction(-1, 3)
     )
+
+
+def test_decomposition_json_repeated_strings_decode_to_equal_values():
+    # strings repeat across terms ("1", "0", "-1", the same complex pair);
+    # the per-call memo must hand back the value a fresh decode gives
+    half = Scalar(Fraction(1, 2), Fraction(-1, 3))
+    d = make_decomposition((3, 2, 2), [
+        ((1, 0, half), (1, -1), (half, 1)),
+        ((0, half, 1), (-1, 1), (1, 0)),
+        ((half, -1, 0), (1, half), (0, -1)),
+    ])
+    payload = json.loads(json.dumps(decomposition_to_json(d)))
+    loaded = decomposition_from_json(payload)
+    assert loaded == d
+    for term, item in zip(loaded.terms, payload["terms"]):
+        for vector, leg in zip(term, "abc"):
+            assert list(vector) == [scalar_from_json(v) for v in item[leg]]
+    # within one call a repeated string is decoded once; a second call
+    # decodes on its own, nothing is shared across calls
+    assert loaded.terms[0].a[0] is loaded.terms[1].a[2]
+    again = decomposition_from_json(payload)
+    assert again == d and again.terms[0].a[0] is not loaded.terms[0].a[0]
+
+
+def test_decomposition_json_repeated_malformed_string_raises():
+    good = decomposition_to_json(w_rank3_decomposition())
+    for bad in ("1/0", "x", "1.5.2"):
+        payload = json.loads(json.dumps(good))
+        for item in payload["terms"]:
+            item["b"][0] = item["c"][1] = bad
+        with pytest.raises(InputError):
+            decomposition_from_json(payload)
 
 
 def test_float_decomposition_marked_inexact():

@@ -2,8 +2,10 @@
 traceback.
 
 Every payload either parses, or the parser raises InputError and the CLI
-prints one "error:" line and exits 2.  Payloads are arbitrary JSON values
-and single-field replacements or deletions in a valid file.  Numbers stay
+prints one "error:" line and exits 2.  A payload parses only if its dims
+and indices are JSON integers and no scalar part is a boolean: nothing is
+coerced.  Payloads are arbitrary JSON values and single-field replacements
+or deletions in a valid file.  Numbers stay
 small (plus the infinities and NaN that JSON readers accept), so the
 dense-storage cap, a separate ResourceError, is not what runs here.
 Examples are derandomized and bounded, so the suite stays deterministic.
@@ -78,6 +80,33 @@ def _parses(parse, payload) -> bool:
     return True
 
 
+def _exact_ints(values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+def _no_bool_scalars(values) -> bool:
+    parts = [part for v in values
+             for part in ((v.get("re"), v.get("im")) if isinstance(v, dict) else (v,))]
+    return not any(isinstance(part, bool) for part in parts)
+
+
+def _tensor_uncoerced(payload) -> bool:
+    entries = payload.get("entries", [])
+    return (_exact_ints(payload["dims"]) and all(_exact_ints(e["i"]) for e in entries)
+            and _no_bool_scalars(entries))
+
+
+def _witness_uncoerced(payload) -> bool:
+    return _exact_ints(payload["dims"]) and all(
+        _no_bool_scalars(term[leg]) for term in payload["terms"] for leg in "abc")
+
+
+#: a coercion the parsers once accepted: 2.9 read as 2, true as 1
+COERCED_TENSOR = {"dims": [2.9, 2, True], "entries": [{"i": [0, 1.7, 0], "re": True}]}
+COERCED_WITNESS = {"dims": [2.9, 2, True],
+                   "terms": [{"a": [True, "0"], "b": ["1", "0"], "c": ["1"]}]}
+
+
 def _run(capsys, tmp_path, payload, *argv):
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
@@ -92,10 +121,14 @@ def _run(capsys, tmp_path, payload, *argv):
 @example(payload=[2, 2, 2])
 @example(payload={"dims": [math.inf, 2, 2]})
 @example(payload={"dims": [2, 2, 2], "entries": [{"i": [0, -math.inf, 0], "re": "1"}]})
+@example(payload=COERCED_TENSOR)
+@example(payload={"dims": [2, 2, 2], "entries": [{"i": [0, 1, 0], "re": "1", "im": False}]})
+@example(payload={"dims": [2, 2, 2], "entries": [{"i": [0, "1", 0], "re": "1"}]})
+@example(payload={"dims": [2, 2, True], "entries": [{"i": [0, 1, False], "re": "1"}]})
 def test_tensor_json_parses_or_exits_2(payload, capsys, tmp_path):
     code, out, err = _run(capsys, tmp_path, payload, "state", "FILE")
     if _parses(tensor_from_json, payload):
-        assert code == 0
+        assert code == 0 and _tensor_uncoerced(payload), payload
     else:
         assert code == 2 and out == "" and err.startswith("error:"), (payload, err)
 
@@ -106,9 +139,14 @@ def test_tensor_json_parses_or_exits_2(payload, capsys, tmp_path):
 @example(payload=[])
 @example(payload={"dims": [2, math.inf, 2], "terms": []})
 @example(payload={"dims": [0, 2, 2], "terms": []})
+@example(payload=COERCED_TENSOR)
+@example(payload=COERCED_WITNESS)
+@example(payload={"dims": [2, 2, True], "terms": []})
+@example(payload={"dims": [2, 2, 2], "terms": [{"a": [1, 0], "b": [1, 0],
+                                                "c": [{"re": 1, "im": True}, 0]}]})
 def test_witness_json_parses_or_exits_2(payload, capsys, tmp_path):
     code, out, err = _run(capsys, tmp_path, payload, "verify", "W", "--witness", "FILE")
     if _parses(decomposition_from_json, payload):
-        assert code in (0, 3)
+        assert code in (0, 3) and _witness_uncoerced(payload), payload
     else:
         assert code == 2 and out == "" and err.startswith("error:"), (payload, err)

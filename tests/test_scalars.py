@@ -108,3 +108,28 @@ def test_scalar_json_float_handling():
         scalar_from_json({"re": 0.5, "im": 0.0})
     with pytest.raises(InputError):
         scalar_from_json([1, 2])
+
+
+def test_scalar_json_rejects_booleans():
+    for obj in (True, False, {"re": True}, {"re": "1", "im": False}):
+        with pytest.raises(InputError):
+            scalar_from_json(obj)
+        with pytest.raises(InputError):
+            scalar_from_json(obj, {})
+
+
+def test_scalar_json_memo_reuses_values_and_never_stores_failures():
+    memo = {}
+    first = scalar_from_json("-3/4", memo)
+    assert scalar_from_json(" -3/4", memo) == first
+    assert scalar_from_json("-3/4", memo) is first
+    pair = scalar_from_json({"re": "1", "im": "2"}, memo)
+    assert pair == Scalar(1, 2) and scalar_from_json({"re": "1", "im": "2"}, memo) is pair
+    for _ in range(2):
+        with pytest.raises(InputError):
+            scalar_from_json("1/0", memo)
+        with pytest.raises(InputError):
+            scalar_from_json({"re": "1", "im": "x"}, memo)
+    assert set(memo) == {"-3/4", " -3/4", ("1", "2")}
+    # parts that are not both strings decode without the memo
+    assert scalar_from_json({"re": 1, "im": "2"}, memo) == pair and len(memo) == 3

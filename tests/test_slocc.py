@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -140,6 +141,17 @@ def test_witness_consumers_raise_witness_mismatch():
             with pytest.raises(WitnessMismatch) as info:
                 call()
             assert info.value.first_mismatch == first
+
+
+def test_build_protocol_verifies_a_target_the_witness_has_not_passed():
+    # decide_ghz_conversion verifies the witness against w2; a protocol for
+    # w2 reuses that check, one for any other target still raises
+    w2, d = builtin_state("W2"), builtin_decomposition("FIDUCCIA8_W2")
+    assert decide_ghz_conversion(w2, 8, witness=d).kind == "yes"
+    assert build_protocol(d, 8, target=w2).target is w2
+    wrong = make_tensor((4, 4, 4), {(0, 0, 0): 1})
+    with pytest.raises(WitnessMismatch):
+        build_protocol(d, 8, target=wrong)
 
 
 def test_simulate_dim_mismatch():
@@ -400,6 +412,22 @@ def test_protocol_json_shape():
     op_a = payload["operators"]["A"]
     assert (op_a["rows"], op_a["cols"]) == (4, 8)
     assert isinstance(op_a["data"][0][0]["re"], float)
+
+
+def test_float_matrix_json_matches_the_per_element_form():
+    rng = np.random.default_rng(5)
+    for rows, cols in ((1, 1), (4, 8), (16, 64), (3, 0)):
+        arr = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        arr.real[::2, ::3] = -0.0
+        arr.imag[1::2, ::2] = -0.0
+        if arr.size:
+            arr[0, 0] = complex(-0.0, 0.0)
+        reference = [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in arr]
+        payload = slocc._float_matrix_json(arr)
+        assert (payload["rows"], payload["cols"]) == (rows, cols)
+        assert json.dumps(payload["data"]) == json.dumps(reference)
+        assert all(type(x["re"]) is float and type(x["im"]) is float
+                   for row in payload["data"] for x in row)
 
 
 def test_verdict_json_shape():

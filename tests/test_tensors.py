@@ -66,6 +66,50 @@ def test_fresh_zero_scalars_read_like_the_shared_zero():
     assert fresh_zero.is_zero() and fresh_zero.nnz() == 0 and fresh_zero.norm_sq() == 0
 
 
+def _index(flat, dims):
+    _, db, dc = dims
+    return divmod(flat // dc, db) + (flat % dc,)
+
+
+def _dense_scan(t):
+    """to_numpy, nonzeros, nnz, is_zero and norm_sq read off every entry by
+    value, the support's reference."""
+    nonzeros = [(_index(flat, t.dims), x) for flat, x in enumerate(t.entries) if x != 0]
+    arr = np.array([complex(x) for x in t.entries], dtype=np.complex128).reshape(t.dims)
+    return (arr, nonzeros, len(nonzeros), not nonzeros,
+            sum((x.re * x.re + x.im * x.im for _, x in nonzeros), Fraction(0)))
+
+
+def _support_corpus():
+    rng = random.Random(11)
+    phi3 = builtin_state("PHI3")
+    ops = LocalOperatorTriple(*(sampling.matrix(rng, 4, 4, complex_parts=True)
+                                for _ in range(3)))
+    return [builtin_state("GHZ", 64), builtin_state("W"), tensor_product(phi3, phi3),
+            apply_local_operators(ops, phi3), zero_tensor((3, 2, 4))]
+
+
+def test_support_readers_match_a_dense_scan():
+    fresh_zero = Scalar(0)
+    assert fresh_zero is not ZERO
+    for t in _support_corpus():
+        arr, nonzeros, nnz, is_zero, norm_sq = _dense_scan(t)
+        dense = [fresh_zero if x == 0 else x for x in t.entries]
+        # make_tensor given explicit zeros too, at every seventh index
+        listed = dict(nonzeros)
+        for flat in range(1, len(dense), 7):
+            listed.setdefault(_index(flat, t.dims), Scalar(0))
+        constructions = [make_tensor(t.dims, dict(nonzeros)), Tensor3(t.dims, t.entries),
+                         Tensor3(t.dims, dense), make_tensor(t.dims, listed)]
+        for built in constructions:
+            assert built == t and hash(built) == hash(t)
+            assert np.array_equal(built.to_numpy(), arr)
+            assert built.to_numpy().dtype == np.complex128
+            assert list(built.nonzeros()) == nonzeros
+            assert built.nnz() == nnz and built.is_zero() == is_zero
+            assert built.norm_sq() == norm_sq
+
+
 def test_make_tensor_zero_and_errors():
     assert zero_tensor((2, 2, 2)).is_zero()
     with pytest.raises(InputError):
