@@ -136,13 +136,19 @@ def als_decompose(arr: np.ndarray, r: int, cfg: AlsConfig | None = None) -> AlsR
     prev = np.full(cfg.restarts, np.inf)
     unfoldings = [np.moveaxis(arr, m, 0).reshape(arr.shape[m], -1) for m in range(3)]
     ridge = cfg.ridge * np.eye(r)
+    # each factor's conjugate and Gram matrix are formed once, when it is
+    # updated, and serve the other two modes' updates until its next one
+    conjugates = [f.conj() for f in factors]
+    grams = [fc.transpose(0, 2, 1) @ f for fc, f in zip(conjugates, factors)]
     for sweep in range(cfg.max_sweeps):
         for mode in range(3):
-            x, y = (factors[m] for m in range(3) if m != mode)
-            khatri_rao = (x[:, :, None, :] * y[:, None, :, :]).reshape(len(active), -1, r)
-            gram = (x.conj().transpose(0, 2, 1) @ x) * (y.conj().transpose(0, 2, 1) @ y)
-            rhs = unfoldings[mode] @ khatri_rao.conj()
-            factors[mode] = _solve(gram + ridge, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+            i, j = (m for m in range(3) if m != mode)
+            xc, yc = conjugates[i], conjugates[j]
+            khatri_rao_conj = (xc[:, :, None, :] * yc[:, None, :, :]).reshape(len(active), -1, r)
+            rhs = unfoldings[mode] @ khatri_rao_conj
+            f = _solve(grams[i] * grams[j] + ridge, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+            factors[mode], conjugates[mode] = f, f.conj()
+            grams[mode] = conjugates[mode].transpose(0, 2, 1) @ f
         approx = np.einsum("nir,njr,nkr->nijk", *factors)
         residual = _norms((approx - arr).reshape(len(active), -1)) / norm_t
         converged = residual <= cfg.tol
@@ -158,6 +164,8 @@ def als_decompose(arr: np.ndarray, r: int, cfg: AlsConfig | None = None) -> AlsR
             keep = ~done
             active, residual = active[keep], residual[keep]
             factors = [f[keep] for f in factors]
+            conjugates = [fc[keep] for fc in conjugates]
+            grams = [g[keep] for g in grams]
         prev = residual
         if not len(active):
             break

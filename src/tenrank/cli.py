@@ -232,14 +232,13 @@ def _cmd_convert(args) -> int:
                                                 if k != "witness"}))
     if verdict.kind == "yes" and args.simulate:
         protocol = build_protocol(verdict.witness, args.ghz, target=t)
-        source = builtin_state("GHZ", args.ghz)
-        outcome, probability = simulate(protocol, source)
+        outcome, probability = simulate(protocol)
         target = t.to_numpy()
         overlap = abs(np.vdot(outcome, target))
         fidelity = overlap / (np.linalg.norm(outcome) * np.linalg.norm(target))
         out_path = args.out or "protocol.json"
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(protocol_to_json(protocol)))
+            fh.write(protocol_to_json(protocol))
         print(json.dumps({
             "fidelity": float(fidelity),
             "probability": probability,
@@ -334,7 +333,7 @@ def _demo_ghz3_to_w2():
 
     w2 = builtin_state("W2")
     protocol = build_protocol(fiduccia8_w2_decomposition(), 8)
-    outcome, probability = simulate(protocol, builtin_state("GHZ", 8))
+    outcome, probability = simulate(protocol)
     deviation = direction_deviation(outcome, w2.to_numpy())
     checks = [
         ("outcome direction matches W(x)W within 1e-10", deviation <= 1e-10),
@@ -357,7 +356,7 @@ def _demo_ghz_to_phi3():
 
             target = tensor_product(target, phi3)
         protocol = build_protocol(witness, levels, target=target)
-        outcome, probability = simulate(protocol, builtin_state("GHZ", levels))
+        outcome, probability = simulate(protocol)
         deviation = direction_deviation(outcome, target.to_numpy())
         ok = deviation <= 1e-10 and probability > 0
         checks.append((f"n={copies}: {7 ** copies} <= {levels}, simulation matches", ok))

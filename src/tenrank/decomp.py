@@ -25,7 +25,15 @@ import numpy as np
 from . import linalg, sampling
 from .als import AlsConfig, AlsResult, als_decompose
 from .errors import InputError, ResourceError, WitnessMismatch
-from .scalars import ONE, ZERO, Scalar, gaussian_integers, scalar_from_json, scalar_to_json
+from .scalars import (
+    ONE,
+    ZERO,
+    Scalar,
+    distinct_objects,
+    gaussian_integers,
+    scalar_from_json,
+    scalar_to_json,
+)
 from .tensors import (
     ENTRY_CAP,
     LEGS,
@@ -157,13 +165,18 @@ def _dense_numerators(d: ProductDecomposition):
         raise ResourceError(f"reconstruction of dims {d.dims} exceeds the dense cap")
     terms = list(d.terms)
     r = len(terms)
-    legs = [gaussian_integers(x for term in terms for x in term[leg]) for leg in range(3)]
+    # each distinct Scalar object of a leg becomes numerators once; the
+    # leg's arrays gather them by position
+    legs = []
+    for leg in range(3):
+        distinct, index = distinct_objects(x for term in terms for x in term[leg])
+        legs.append((*gaussian_integers(distinct), index))
     # a leg of zeros counts as 1, so every numerator also lies below the bound
-    bound = 4 * r * math.prod(max(map(abs, re + im), default=0) or 1 for re, im, _ in legs)
+    bound = 4 * r * math.prod(max(map(abs, re + im), default=0) or 1 for re, im, _, _ in legs)
     dtype = np.int64 if bound < 1 << 62 else object
     (ar, ai), (br, bi), (cr, ci) = (
-        tuple(np.array(part, dtype=dtype).reshape(r, dim) for part in (re, im))
-        for (re, im, _), dim in zip(legs, d.dims))
+        tuple(np.array(part, dtype=dtype)[index].reshape(r, dim) for part in (re, im))
+        for (re, im, _, index), dim in zip(legs, d.dims))
     out_re = np.zeros((da * db, dc), dtype=dtype)
     out_im = np.zeros((da * db, dc), dtype=dtype)
     step = max(1, _CHUNK_SCALARS // (da * db))
@@ -175,7 +188,7 @@ def _dense_numerators(d: ProductDecomposition):
         ab_im = (a_re * b_im + a_im * b_re).reshape(-1, da * db).T
         out_re += ab_re @ cr[k] - ab_im @ ci[k]
         out_im += ab_re @ ci[k] + ab_im @ cr[k]
-    return out_re.ravel(), out_im.ravel(), math.prod(den for _, _, den in legs)
+    return out_re.ravel(), out_im.ravel(), math.prod(den for _, _, den, _ in legs)
 
 
 def reconstruct(d: ProductDecomposition) -> Tensor3:
@@ -226,10 +239,10 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
     # cross-multiplied numerators t_num * den == r_num * t_den
     mismatch = (re != 0) | (im != 0)
     nonzero = list(t.support)
-    t_re, t_im, t_den = gaussian_integers(t.entries[flat] for flat in nonzero)
-    mismatch[nonzero] = [x * t_den != p * den or y * t_den != q * den
-                         for x, y, p, q in zip(re[nonzero].tolist(), im[nonzero].tolist(),
-                                               t_re, t_im)]
+    distinct, index = distinct_objects(t.entries[flat] for flat in nonzero)
+    t_re, t_im, t_den = gaussian_integers(distinct)
+    mismatch[nonzero] = [x * t_den != t_re[k] * den or y * t_den != t_im[k] * den
+                         for x, y, k in zip(re[nonzero].tolist(), im[nonzero].tolist(), index)]
     bad = np.flatnonzero(mismatch)
     if not bad.size:
         return VerifyResult(True)
@@ -739,15 +752,17 @@ def rationalize_result(t: Tensor3, result: AlsResult,
 
 
 def decomposition_to_json(d: ProductDecomposition) -> dict:
+    """Each distinct Scalar object is encoded once; its JSON value (a string,
+    or one shared {"re", "im"} dict) stands wherever the object does."""
+    terms = list(d.terms)
+    distinct, index = distinct_objects(x for term in terms for vector in term for x in vector)
+    encoded = [scalar_to_json(x) for x in distinct]
+    values = iter(index)
     return {
         "dims": list(d.dims),
         "terms": [
-            {
-                "a": [scalar_to_json(x) for x in term.a],
-                "b": [scalar_to_json(x) for x in term.b],
-                "c": [scalar_to_json(x) for x in term.c],
-            }
-            for term in d.terms
+            {leg: [encoded[next(values)] for _ in vector] for leg, vector in zip("abc", term)}
+            for term in terms
         ],
     }
 

@@ -156,6 +156,19 @@ def gaussian_integers(values) -> tuple[list, list, int]:
             [v.im.numerator * (den // v.im.denominator) for v in values], den)
 
 
+def distinct_objects(values) -> tuple[list, list]:
+    """(distinct, index): the distinct objects among values, told apart by
+    identity and listed in first-seen order, and for each value its
+    position in that list, so values[k] is distinct[index[k]].  Work done
+    per distinct object is done once for objects shared across a document,
+    as the JSON decode memo shares its Scalars."""
+    values = list(values)  # keeps every object, and with it its id, alive
+    ids = list(map(id, values))
+    first = dict(zip(ids, values))
+    positions = dict(zip(first, range(len(first))))
+    return list(first.values()), list(map(positions.__getitem__, ids))
+
+
 # -- JSON encoding -----------------------------------------------------------
 #
 # Real scalars serialize as a single "p/q" string; complex scalars as

@@ -27,8 +27,8 @@ from .decomp import (
     require_witness,
 )
 from .errors import InputError, ResourceError
-from .scalars import ZERO
-from .tensors import LocalOperatorTriple, Tensor3, flattening_rank
+from .scalars import ZERO, distinct_objects
+from .tensors import LocalOperatorTriple, Tensor3, check_entry_cap, flattening_rank
 
 #: dense protocol operators are only assembled up to this GHZ level
 PROTOCOL_DIM_CAP = 1 << 14
@@ -64,7 +64,7 @@ class SloccProtocol:
 
 def _operator_from_vectors(vectors, dim_out: int, n: int) -> tuple:
     cols = list(vectors) + [(ZERO,) * dim_out] * (n - len(vectors))
-    return tuple(tuple(col[i] for col in cols) for i in range(dim_out))
+    return tuple(zip(*cols))
 
 
 def build_protocol(d: ProductDecomposition, n: int,
@@ -94,28 +94,26 @@ def build_protocol(d: ProductDecomposition, n: int,
     legs = [[term[leg] for term in d.terms] for leg in range(3)]
     exact_ops = LocalOperatorTriple(*(_operator_from_vectors(vectors, dim, n)
                                       for vectors, dim in zip(legs, d.dims)))
-    # each distinct Scalar object becomes a complex once; the ZERO padding
-    # columns stay the zeros the array starts with
-    complexes = {}
-
-    def as_complex(x):
-        z = complexes.get(id(x))
-        if z is None:
-            z = complexes[id(x)] = complex(x)
-        return z
-
     float_ops = []
     scales = []
-    for vectors, dim in zip(legs, d.dims):
-        arr = np.zeros((dim, n), dtype=np.complex128)
-        arr[:, :r] = np.array([[as_complex(x) for x in vector] for vector in vectors]).T
-        sigma = float(np.linalg.svd(arr, compute_uv=False)[0])
-        float_ops.append(arr / sigma)
-        scales.append(sigma)
-    # (A x B x C) GHZ(n) equals the target exactly, so after scaling the
-    # outcome is target / (sA sB sC) and the probability follows directly.
-    norm_sq_target = float(target.norm_sq())
-    scale_sq = (scales[0] * scales[1] * scales[2]) ** 2
+    try:
+        for vectors, dim in zip(legs, d.dims):
+            # each distinct Scalar object becomes a complex once; the ZERO
+            # padding columns stay the zeros the array starts with
+            distinct, index = distinct_objects(x for vector in vectors for x in vector)
+            values = np.array([complex(x) for x in distinct], dtype=np.complex128)
+            arr = np.zeros((dim, n), dtype=np.complex128)
+            arr[:, :r] = values[index].reshape(r, dim).T
+            sigma = float(np.linalg.svd(arr, compute_uv=False)[0])
+            float_ops.append(arr / sigma)
+            scales.append(sigma)
+        # (A x B x C) GHZ(n) equals the target exactly, so after scaling the
+        # outcome is target / (sA sB sC) and the probability follows directly.
+        norm_sq_target = float(target.norm_sq())
+        scale_sq = (scales[0] * scales[1] * scales[2]) ** 2
+    except OverflowError as exc:
+        raise ResourceError(f"witness values exceed the float range of the protocol: "
+                            f"{exc}") from exc
     probability = norm_sq_target / scale_sq / n
     return SloccProtocol(
         ops=tuple(float_ops),
@@ -135,18 +133,33 @@ def apply_float_ops(ops, source: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate(p: SloccProtocol, source: Tensor3) -> tuple:
+def _ghz_array(n: int) -> np.ndarray:
+    """GHZ(n) as the dense complex array `Tensor3.to_numpy` gives for
+    `builtin_state("GHZ", n)`, built without the exact tensor (subject to
+    the same entry cap)."""
+    check_entry_cap(n * n * n)
+    arr = np.zeros((n, n, n), dtype=np.complex128)
+    diagonal = np.arange(n)
+    arr[diagonal, diagonal, diagonal] = 1
+    return arr
+
+
+def simulate(p: SloccProtocol, source: Tensor3 | None = None) -> tuple:
     """Apply the scaled protocol operators to a source state.
 
     Returns (outcome, probability) where outcome is the float tensor after
     all three parties succeed and probability = |outcome|^2 / |source|^2.
-    For source = GHZ(source_dim) the outcome direction matches the
-    protocol's target within float accuracy.
+    The source defaults to the protocol's own GHZ(source_dim), for which
+    the outcome direction matches the protocol's target within float
+    accuracy.
     """
-    if source.dims != p.input_dims():
+    if source is None:
+        src = _ghz_array(p.source_dim)
+    elif source.dims != p.input_dims():
         raise InputError(f"source dims {source.dims} do not match protocol input "
                          f"{p.input_dims()}")
-    src = source.to_numpy()
+    else:
+        src = source.to_numpy()
     outcome = apply_float_ops(p.ops, src)
     norm_src = float(np.linalg.norm(src))
     if norm_src == 0.0:
@@ -340,28 +353,41 @@ def schmidt_measure_bounds(t: Tensor3,
 # ---------------------------------------------------------------------------
 
 
-def _float_matrix_json(arr: np.ndarray) -> dict:
-    return {
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]),
-        "data": [
-            [{"re": x, "im": y} for x, y in zip(re_row, im_row)]
-            for re_row, im_row in zip(arr.real.tolist(), arr.imag.tolist())
-        ],
-    }
+def _json_float(x: float) -> str:
+    """A float as json.dumps spells it: repr when finite, else NaN or
+    (-)Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def protocol_to_json(p: SloccProtocol) -> dict:
-    return {
-        "operators": {
-            "A": _float_matrix_json(p.ops[0]),
-            "B": _float_matrix_json(p.ops[1]),
-            "C": _float_matrix_json(p.ops[2]),
-        },
-        "exact": False,
-        "source_dim": p.source_dim,
-        "success_probability": p.success_probability,
-    }
+def _float_matrix_json(arr: np.ndarray) -> str:
+    """A complex matrix as the text json.dumps gives for
+    {"rows": R, "cols": C, "data": [[{"re": x, "im": y}, ...], ...]}.
+
+    The entries are told apart by their raw bits, so -0.0 keeps its sign,
+    and the rows are joined from one fragment per distinct (re, im) pair.
+    """
+    rows, cols = arr.shape
+    flat = np.ascontiguousarray(arr, dtype=np.complex128).ravel()
+    keys = flat.view("V16").tolist()
+    fragments = {key: f'{{"re": {_json_float(z.real)}, "im": {_json_float(z.imag)}}}'
+                 for key, z in dict(zip(keys, flat.tolist())).items()}
+    data = ", ".join("[" + ", ".join(map(fragments.__getitem__, keys[i * cols:(i + 1) * cols]))
+                     + "]" for i in range(rows))
+    return f'{{"rows": {rows}, "cols": {cols}, "data": [{data}]}}'
+
+
+def protocol_to_json(p: SloccProtocol) -> str:
+    """The protocol file's text, equal to json.dumps of
+    {"operators": {"A": matrix, "B": matrix, "C": matrix}, "exact": false,
+     "source_dim": N, "success_probability": x}
+    with each operator in the float matrix form of `_float_matrix_json`."""
+    operators = ", ".join(f'"{leg}": {_float_matrix_json(op)}'
+                          for leg, op in zip("ABC", p.ops))
+    return (f'{{"operators": {{{operators}}}, "exact": false, '
+            f'"source_dim": {int(p.source_dim)}, '
+            f'"success_probability": {_json_float(p.success_probability)}}}')
 
 
 def verdict_to_json(v: ConvertVerdict) -> dict:

@@ -21,13 +21,26 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, ResourceError
-from .scalars import Scalar, ZERO, as_scalar, scalar_from_json
+from .scalars import (
+    Scalar,
+    ZERO,
+    as_scalar,
+    distinct_objects,
+    gaussian_integers,
+    scalar_from_json,
+)
 
 #: Hard cap on dense storage; anything larger is handled symbolically
 #: through decompositions and never materialized.
 ENTRY_CAP = 1 << 21
 
 LEGS = ("A", "B", "C")
+
+
+def check_entry_cap(total: int) -> None:
+    """ResourceError when a dense tensor of `total` entries passes ENTRY_CAP."""
+    if total > ENTRY_CAP:
+        raise ResourceError(f"tensor with {total} entries exceeds the dense cap {ENTRY_CAP}")
 
 
 class Tensor3:
@@ -45,10 +58,7 @@ class Tensor3:
         if min(da, db, dc) < 1:
             raise InputError(f"dimensions must be positive, got {dims}")
         total = da * db * dc
-        if total > ENTRY_CAP:
-            raise ResourceError(
-                f"tensor with {total} entries exceeds the dense cap {ENTRY_CAP}"
-            )
+        check_entry_cap(total)
         entries = tuple(entries)
         if len(entries) != total:
             raise InputError(
@@ -124,13 +134,20 @@ class Tensor3:
     def to_numpy(self) -> np.ndarray:
         entries, support = self.entries, list(self.support)
         arr = np.zeros(len(entries), dtype=np.complex128)
-        arr[support] = [complex(entries[flat]) for flat in support]
+        try:
+            arr[support] = [complex(entries[flat]) for flat in support]
+        except OverflowError as exc:
+            raise ResourceError(f"tensor entry exceeds the float range: {exc}") from exc
         return arr.reshape(self.dims)
 
     def norm_sq(self) -> Fraction:
-        """Exact squared Frobenius norm."""
+        """Exact squared Frobenius norm: the squared Gaussian-integer
+        numerators of the nonzeros, summed over one den^2."""
         entries = self.entries
-        return sum((entries[flat].abs2() for flat in self.support), Fraction(0))
+        distinct, index = distinct_objects(entries[flat] for flat in self.support)
+        re, im, den = gaussian_integers(distinct)
+        squares = [x * x + y * y for x, y in zip(re, im)]
+        return Fraction(sum(squares[k] for k in index), den * den)
 
     def __repr__(self):
         return f"Tensor3(dims={self.dims}, nnz={self.nnz()})"
@@ -148,10 +165,7 @@ def make_tensor(dims, entries) -> Tensor3:
     if min(da, db, dc) < 1:
         raise InputError(f"dimensions must be positive, got {dims}")
     total = da * db * dc
-    if total > ENTRY_CAP:
-        raise ResourceError(
-            f"tensor with {total} entries exceeds the dense cap {ENTRY_CAP}"
-        )
+    check_entry_cap(total)
     flat = [ZERO] * total
     seen = set()
     support = []

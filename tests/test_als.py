@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from tenrank import sampling
-from tenrank.als import AlsConfig, _max_term_norm, als_decompose
+from tenrank.als import (
+    AlsConfig,
+    AlsResult,
+    _initial_factors,
+    _max_term_norm,
+    _norms,
+    _solve,
+    als_decompose,
+)
 from tenrank.decomp import (
     als_search,
     builtin_state,
@@ -137,6 +145,81 @@ def test_batch_matches_per_restart_reference_on_other_inputs():
     rng = np.random.default_rng(5)
     dense = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
     _assert_matches_reference(dense, 3, AlsConfig(max_sweeps=100))
+
+
+# -- batched reference with per-mode Gram matrices -------------------------------
+# The batched loop as it was before each factor kept its conjugate and Gram
+# matrix from its own update: every mode update forms the Gram matrices of
+# both other factors and conjugates their Khatri-Rao product.
+
+
+def _per_mode_gram_decompose(arr, r, cfg):
+    factors = _initial_factors(arr.shape, r, cfg)
+    norm_t = float(np.linalg.norm(arr))
+    residuals = np.empty(cfg.restarts)
+    sweeps = np.full(cfg.restarts, cfg.max_sweeps)
+    stalled = np.zeros(cfg.restarts, dtype=bool)
+    final = [np.empty_like(f) for f in factors]
+    active = np.arange(cfg.restarts)
+    prev = np.full(cfg.restarts, np.inf)
+    unfoldings = [np.moveaxis(arr, m, 0).reshape(arr.shape[m], -1) for m in range(3)]
+    ridge = cfg.ridge * np.eye(r)
+    for sweep in range(cfg.max_sweeps):
+        for mode in range(3):
+            x, y = (factors[m] for m in range(3) if m != mode)
+            khatri_rao = (x[:, :, None, :] * y[:, None, :, :]).reshape(len(active), -1, r)
+            gram = (x.conj().transpose(0, 2, 1) @ x) * (y.conj().transpose(0, 2, 1) @ y)
+            rhs = unfoldings[mode] @ khatri_rao.conj()
+            factors[mode] = _solve(gram + ridge, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        approx = np.einsum("nir,njr,nkr->nijk", *factors)
+        residual = _norms((approx - arr).reshape(len(active), -1)) / norm_t
+        converged = residual <= cfg.tol
+        stall = ~converged & (prev - residual < cfg.stall_improvement)
+        done = converged | stall
+        if done.any():
+            leaving = active[done]
+            residuals[leaving] = residual[done]
+            sweeps[leaving] = sweep + 1
+            stalled[leaving] = stall[done]
+            for out, f in zip(final, factors):
+                out[leaving] = f[done]
+            keep = ~done
+            active, residual = active[keep], residual[keep]
+            factors = [f[keep] for f in factors]
+        prev = residual
+        if not len(active):
+            break
+    residuals[active] = prev
+    for out, f in zip(final, factors):
+        out[active] = f
+    restart = min(range(cfg.restarts), key=residuals.__getitem__)
+    residual = float(residuals[restart])
+    factors = [f[restart].copy() for f in final]
+    found = residual <= cfg.tol
+    border = False
+    if not found:
+        diverging = _max_term_norm(factors) > cfg.border_term_ratio * norm_t
+        border = not stalled[restart] and diverging
+    return AlsResult(found=found, residual=residual, border_flag=border, factors=factors,
+                     restart=restart, sweeps=int(sweeps[restart]))
+
+
+def test_kept_gram_matrices_give_bit_identical_results():
+    w, ghz = builtin_state("W").to_numpy(), builtin_state("GHZ", 2).to_numpy()
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    real = rng.standard_normal((3, 3, 2)).astype(complex)
+    cases = [(w, 2, AlsConfig(seed=0, max_sweeps=400)), (w, 3, AlsConfig(seed=1)),
+             (ghz, 2, AlsConfig(seed=2)), (real, 3, AlsConfig(seed=1, max_sweeps=300)),
+             # restarts stop at many different sweeps, so the batch shrinks often
+             (dense, 4, AlsConfig(seed=0, max_sweeps=300))]
+    for arr, r, cfg in cases:
+        result, expected = als_decompose(arr, r, cfg), _per_mode_gram_decompose(arr, r, cfg)
+        assert (result.found, result.border_flag, result.restart, result.sweeps) == (
+            expected.found, expected.border_flag, expected.restart, expected.sweeps)
+        assert result.residual == expected.residual
+        for f, g in zip(result.factors, expected.factors):
+            assert f.shape == g.shape and f.tobytes() == g.tobytes()
 
 
 def test_singular_gram_falls_back_to_lstsq_per_member(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -11,16 +12,19 @@ import tenrank
 from tenrank.als import AlsConfig
 from tenrank.cli import main
 from tenrank.decomp import (
+    ProductDecomposition,
     als_search,
     builtin_decomposition,
     builtin_state,
+    builtin_witness,
     decomposition_from_json,
+    decomposition_power,
     decomposition_to_json,
     float_decomposition_to_json,
     ghz_decomposition,
 )
 from tenrank.slocc import build_protocol, protocol_to_json
-from tenrank.tensors import tensor_from_json
+from tenrank.tensors import tensor_from_json, tensor_product, tensor_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,10 +183,10 @@ def test_convert_w2_yes_with_simulation(capsys, tmp_path):
     assert lines[1]["probability"] > 0
     payload = json.loads(protocol_file.read_text())
     assert payload["source_dim"] == 8 and payload["success_probability"] > 0
-    # the file is the compact json.dumps text of the protocol, byte for byte
+    # the file is the protocol's text, byte for byte
     protocol = build_protocol(decomposition_from_json(json.loads(
         resources.files("tenrank").joinpath("witnesses", "fiduccia8.json").read_text())), 8)
-    assert protocol_file.read_text() == json.dumps(protocol_to_json(protocol))
+    assert protocol_file.read_text() == protocol_to_json(protocol)
 
 
 def test_convert_phi3_no_exits_4(capsys):
@@ -251,6 +255,113 @@ def test_convert_simulate_verifies_caller_witness_once(capsys, tmp_path, monkeyp
                      "--simulate", "--out", str(tmp_path / "protocol.json"))
     assert code == 0
     assert calls == [8]
+
+
+def test_convert_simulate_beyond_the_dense_cap_exits_2(capsys, tmp_path):
+    # the verdict is printed; the GHZ(200) source would exceed the dense
+    # cap, so nothing is simulated or written
+    out_file = tmp_path / "protocol.json"
+    code, out, err = run(capsys, "convert", "GHZ", "--n", "1", "--ghz", "200", "--simulate",
+                         "--out", str(out_file))
+    assert code == 2
+    assert [json.loads(line)["verdict"] for line in out.splitlines()] == ["yes"]
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "exceeds the dense cap" in err
+    assert not out_file.exists()
+
+
+def _ghz64_style_files(tmp_path):
+    """PHI3 (x) PHI3 and a shuffled 49-term witness, as tensor and
+    decomposition files."""
+    phi3 = builtin_state("PHI3")
+    target = tensor_product(phi3, phi3)
+    base = builtin_witness(phi3, "PHI3")
+    terms = list(decomposition_power(base, 2).terms)
+    random.Random(64).shuffle(terms)
+    tensor_file, witness_file = tmp_path / "phi3sq.json", tmp_path / "w49.json"
+    tensor_file.write_text(json.dumps(tensor_to_json(target)))
+    witness_file.write_text(json.dumps(decomposition_to_json(
+        ProductDecomposition(target.dims, tuple(terms)))))
+    return str(tensor_file), str(witness_file)
+
+
+def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatch):
+    # no dense GHZ(64) tensor is built, and the numerator and JSON encoders
+    # see each distinct Scalar object of the loaded inputs at most once
+    from tenrank import cli, decomp, scalars, tensors
+
+    tensor_file, witness_file = _ghz64_style_files(tmp_path)
+    sizes, numerator_calls, encoded, loaded = [], [], [], []
+    original_init = tensors.Tensor3.__init__
+
+    def init(self, dims, entries):
+        sizes.append(dims[0] * dims[1] * dims[2])
+        original_init(self, dims, entries)
+
+    def numerators(values):
+        numerator_calls.append(list(values))
+        return scalars.gaussian_integers(numerator_calls[-1])
+
+    def encode(x):
+        encoded.append(x)
+        return scalars.scalar_to_json(x)
+
+    def loading(original):
+        return lambda payload: loaded.append(original(payload)) or loaded[-1]
+
+    monkeypatch.setattr(tensors.Tensor3, "__init__", init)
+    monkeypatch.setattr(decomp, "gaussian_integers", numerators)
+    monkeypatch.setattr(tensors, "gaussian_integers", numerators)
+    monkeypatch.setattr(decomp, "scalar_to_json", encode)
+    monkeypatch.setattr(cli, "tensor_from_json", loading(cli.tensor_from_json))
+    monkeypatch.setattr(cli, "decomposition_from_json", loading(cli.decomposition_from_json))
+    code, out, _ = run(capsys, "--json", "convert", tensor_file, "--ghz", "64",
+                       "--witness", witness_file, "--simulate",
+                       "--out", str(tmp_path / "protocol.json"))
+    assert code == 0
+    verdict, simulation = (json.loads(line) for line in out.splitlines())
+    assert verdict["upper_bound"] == 49 and len(verdict["witness"]["terms"]) == 49
+    assert simulation["fidelity"] >= 1 - 1e-10
+    assert sizes and max(sizes) < 64 ** 3
+
+    target, witness = loaded
+    witness_objects = {id(x) for term in witness.terms for vector in term for x in vector}
+    target_objects = {id(target.entries[flat]) for flat in target.support}
+    # the JSON decode shares one object per distinct string: "0", "1", "-1"
+    assert len(witness_objects) == 3 and len(target_objects) == 1
+    assert numerator_calls
+    for values in numerator_calls:
+        ids = [id(x) for x in values]
+        assert len(set(ids)) == len(ids) and set(ids) <= witness_objects | target_objects
+    ids = [id(x) for x in encoded]
+    assert len(set(ids)) == len(ids) and set(ids) <= witness_objects
+
+
+def test_values_beyond_the_float_range_exit_2(capsys, tmp_path):
+    # 10^400 is exact, but no float holds it: the float stages (the ALS
+    # search's dense array, the protocol's operators) report it as an error
+    big = "1" + "0" * 400
+    lone = tmp_path / "lone.json"
+    lone.write_text(json.dumps({"dims": [2, 2, 2], "entries": [{"i": [0, 0, 0], "re": big}]}))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": big}, {"i": [1, 1, 1], "re": "1"}]}))
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"dims": [2, 2, 2], "terms": [
+        {"a": [big, "0"], "b": ["1", "0"], "c": ["1", "0"]},
+        {"a": ["0", "1"], "b": ["0", "1"], "c": ["0", "1"]}]}))
+    out_file = tmp_path / "protocol.json"
+    for argv, verdict_lines in (
+            (("convert", str(lone), "--ghz", "1"), 0),
+            (("convert", str(pair), "--ghz", "2", "--witness", str(witness), "--simulate",
+              "--out", str(out_file)), 1),
+            (("rank", str(lone), "--als", "1"), 0)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert len(out.splitlines()) == verdict_lines, argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, argv
+        assert "float range" in err, argv
+    assert not out_file.exists()
 
 
 def test_convert_witness_with_a_repeated_malformed_string_exits_2(capsys, tmp_path):

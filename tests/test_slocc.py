@@ -132,6 +132,19 @@ def test_build_protocol_errors():
         build_protocol(zero_sum, 2)
 
 
+def test_build_protocol_beyond_the_float_range_raises_resource_error():
+    big = 10 ** 400
+    huge = make_decomposition((2, 2, 2), [((big, 0), (1, 0), (1, 0)),
+                                          ((0, 1), (0, 1), (0, 1))])
+    with pytest.raises(ResourceError, match="float range"):
+        build_protocol(huge, 2)
+    # every operator entry fits a float, but the target's squared norm does not
+    large = 10 ** 200
+    squared = make_decomposition((2, 2, 2), [((large, 0), (large, 0), (large, 0))])
+    with pytest.raises(ResourceError, match="float range"):
+        build_protocol(squared, 2)
+
+
 def test_witness_consumers_raise_witness_mismatch():
     w = builtin_state("W")
     for wrong, first in ((ghz_decomposition(2), (0, 0, 0)), (ghz_decomposition(3), None)):
@@ -152,6 +165,31 @@ def test_build_protocol_verifies_a_target_the_witness_has_not_passed():
     wrong = make_tensor((4, 4, 4), {(0, 0, 0): 1})
     with pytest.raises(WitnessMismatch):
         build_protocol(d, 8, target=wrong)
+
+
+def test_simulate_defaults_to_the_protocols_own_ghz_source():
+    # the default source is built as an array; the outcome and probability
+    # equal those from the exact GHZ(n) tensor bit for bit
+    for witness, n in ((builtin_decomposition("FIDUCCIA8_W2"), 8),
+                       (w_rank3_decomposition(), 5), (ghz_decomposition(3), 3)):
+        protocol = build_protocol(witness, n)
+        outcome, probability = simulate(protocol)
+        expected, expected_probability = simulate(protocol, builtin_state("GHZ", n))
+        assert outcome.tobytes() == expected.tobytes() and outcome.shape == expected.shape
+        assert probability == expected_probability
+    for n in (1, 2, 7):
+        arr, expected = slocc._ghz_array(n), builtin_state("GHZ", n).to_numpy()
+        assert arr.dtype == expected.dtype and arr.tobytes() == expected.tobytes()
+
+
+def test_simulate_default_source_keeps_the_dense_cap():
+    protocol = build_protocol(ghz_decomposition(2), 200)
+    with pytest.raises(ResourceError) as default:
+        simulate(protocol)
+    with pytest.raises(ResourceError) as dense:
+        builtin_state("GHZ", 200)
+    assert str(default.value) == str(dense.value)
+    assert "exceeds the dense cap" in str(default.value)
 
 
 def test_simulate_dim_mismatch():
@@ -403,9 +441,37 @@ def test_schmidt_bounds_examples():
 # -- JSON -------------------------------------------------------------------------
 
 
+# The dict builders the protocol text replaced: the file is json.dumps of
+# these dicts, byte for byte.
+
+
+def _reference_matrix(arr):
+    return {
+        "rows": int(arr.shape[0]),
+        "cols": int(arr.shape[1]),
+        "data": [
+            [{"re": x, "im": y} for x, y in zip(re_row, im_row)]
+            for re_row, im_row in zip(arr.real.tolist(), arr.imag.tolist())
+        ],
+    }
+
+
+def _reference_protocol(p):
+    return {
+        "operators": {
+            "A": _reference_matrix(p.ops[0]),
+            "B": _reference_matrix(p.ops[1]),
+            "C": _reference_matrix(p.ops[2]),
+        },
+        "exact": False,
+        "source_dim": p.source_dim,
+        "success_probability": p.success_probability,
+    }
+
+
 def test_protocol_json_shape():
     protocol = build_protocol(builtin_decomposition("FIDUCCIA8_W2"), 8)
-    payload = protocol_to_json(protocol)
+    payload = json.loads(protocol_to_json(protocol))
     assert payload["source_dim"] == 8
     assert payload["exact"] is False
     assert payload["success_probability"] > 0
@@ -414,20 +480,46 @@ def test_protocol_json_shape():
     assert isinstance(op_a["data"][0][0]["re"], float)
 
 
+def test_protocol_text_equals_json_dumps_of_the_dict_form():
+    rng = random.Random(8)
+    image = [sampling.invertible_matrix(rng, 4) for _ in range(3)]
+    cases = [
+        (builtin_decomposition("FIDUCCIA8_W2"), 8),   # repeated values
+        (builtin_decomposition("FIDUCCIA8_W2"), 13),  # zero padding columns
+        (w_rank3_decomposition(), 3),
+        (ghz_decomposition(4), 6),
+        (decomposition_power(phi3_witness(), 2), 64),
+        # a transported witness: nearly every value distinct
+        (transport(LocalOperatorTriple(*image), phi3_witness()), 9),
+    ]
+    protocols = [build_protocol(witness, n) for witness, n in cases]
+    # operators that no GHZ witness gives: signed zeros, non-finite parts
+    # and a non-finite probability
+    ops = [np.random.default_rng(k).standard_normal((3, 5)) * (1 + 1j) for k in range(3)]
+    ops[0][0, :3] = [-0.0, complex(0.0, -0.0), complex(np.inf, np.nan)]
+    ops[1][1, 1] = complex(-np.inf, 2.5)
+    protocols.append(slocc.SloccProtocol(ops=tuple(ops), exact_ops=None, scales=(1.0,) * 3,
+                                         source_dim=5, success_probability=float("nan"),
+                                         target=None))
+    for protocol in protocols:
+        assert protocol_to_json(protocol) == json.dumps(_reference_protocol(protocol))
+
+
 def test_float_matrix_json_matches_the_per_element_form():
     rng = np.random.default_rng(5)
-    for rows, cols in ((1, 1), (4, 8), (16, 64), (3, 0)):
+    for rows, cols in ((1, 1), (4, 8), (16, 64), (3, 0), (0, 2)):
         arr = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         arr.real[::2, ::3] = -0.0
         arr.imag[1::2, ::2] = -0.0
         if arr.size:
             arr[0, 0] = complex(-0.0, 0.0)
-        reference = [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in arr]
-        payload = slocc._float_matrix_json(arr)
-        assert (payload["rows"], payload["cols"]) == (rows, cols)
-        assert json.dumps(payload["data"]) == json.dumps(reference)
-        assert all(type(x["re"]) is float and type(x["im"]) is float
-                   for row in payload["data"] for x in row)
+        if arr.size > 4:
+            # zeros of both signs and the non-finite spellings side by side
+            arr.flat[1:5] = [0j, complex(np.nan, np.inf), complex(-np.inf, -0.0),
+                             complex(0.0, -0.0)]
+        assert slocc._float_matrix_json(arr) == json.dumps(_reference_matrix(arr))
+    repeated = np.tile(np.array([[0.5 - 0.0j, -0.5 + 1j, 0.0, -0.0 + 0.0j]]), (3, 4))
+    assert slocc._float_matrix_json(repeated) == json.dumps(_reference_matrix(repeated))
 
 
 def test_verdict_json_shape():

@@ -110,6 +110,31 @@ def test_support_readers_match_a_dense_scan():
             assert built.norm_sq() == norm_sq
 
 
+def test_norm_sq_reads_shared_objects_once_each_and_stays_exact():
+    # tensor JSON shares one Scalar per repeated string; the norm counts
+    # every entry all the same
+    entries = [{"i": [a, b, c], "re": "1/2", "im": "-3/4"}
+               for a in range(2) for b in range(2) for c in range(2) if (a + b + c) % 2]
+    entries.append({"i": [0, 0, 0], "re": "-7/3"})
+    t = tensor_from_json({"dims": [2, 2, 2], "entries": entries})
+    assert t[(0, 0, 1)] is t[(1, 1, 1)]
+    norm = t.norm_sq()
+    assert type(norm) is Fraction
+    assert norm == 4 * (Fraction(1, 4) + Fraction(9, 16)) + Fraction(49, 9)
+    assert zero_tensor((2, 1, 3)).norm_sq() == Fraction(0)
+
+
+def test_to_numpy_beyond_the_float_range_raises_resource_error():
+    big = make_tensor((1, 1, 2), {(0, 0, 1): Scalar(10 ** 400)})
+    with pytest.raises(ResourceError, match="float range"):
+        big.to_numpy()
+    with pytest.raises(ResourceError, match="float range"):
+        make_tensor((1, 1, 1), {(0, 0, 0): Scalar(1, -10 ** 400)}).to_numpy()
+    # a tiny value rounds to zero like any float conversion; it is no error
+    tiny = make_tensor((1, 1, 1), {(0, 0, 0): Scalar(Fraction(1, 10 ** 400))})
+    assert tiny.to_numpy()[0, 0, 0] == 0
+
+
 def test_make_tensor_zero_and_errors():
     assert zero_tensor((2, 2, 2)).is_zero()
     with pytest.raises(InputError):

@@ -1,0 +1,181 @@
+"""Compare what two checkouts of tenrank print and write, command by command.
+
+    python3 tools/same_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are checkout roots; each is run as
+`python -m tenrank.cli` with its own `src/` first on PYTHONPATH.  The
+corpus is a fixed list of CLI commands (`corpus`), each run with and
+without `--json`.  Every run gets a fresh working directory, so the files a
+command writes (`--out` targets, the default `protocol.json`) are collected
+and compared too.  The inputs are written once, before any command runs,
+into a directory both checkouts read: seeded tensors and witnesses built
+by `bench/inputs.py` of the repository this script sits in (imported, never
+modified).
+
+For each command the report names every difference in stdout, stderr, exit
+code or written file, with the first differing lines.  The exit code is 0
+when every command matched and 1 otherwise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import inputs as I  # noqa: E402
+
+#: 10^400: an exact value no float holds
+BIG = "1" + "0" * 400
+
+
+def write_inputs(root: Path) -> dict:
+    """The corpus's input files, written under `root`; name -> path."""
+    rng = random.Random("same-outputs")
+    phi3 = I.phi3()
+    w2 = I.kron_tensor(I.w_state(), (2, 2, 2), I.w_state())
+    phi3sq = I.kron_tensor(phi3, (4, 4, 4), phi3)
+    phi3_terms, w2_terms = I.strassen_phi3_terms(), I.fiduccia_w2_terms()
+    files = {}
+
+    def write(name, payload):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        files[name] = str(path)
+
+    def image(name, t, terms):
+        # sim8 style: a transported image and its transported witness
+        ops = [I.invertible_operator(rng, 4) for _ in range(3)]
+        write(name, I.tensor_json((4, 4, 4), I.image(ops, (4, 4, 4), t)))
+        write(f"{name}-witness", I.decomposition_json((4, 4, 4), I.transport(ops, terms)))
+
+    write("phi3sq", I.tensor_json((16, 16, 16), phi3sq))
+    for k in range(2):
+        # ghz64 style: the 49 Kronecker-square terms, shuffled
+        terms = I.kron_terms(phi3_terms, phi3_terms)
+        rng.shuffle(terms)
+        write(f"phi3sq-witness{k}", I.decomposition_json((16, 16, 16), terms))
+    for k in range(2):
+        image(f"phi3-image{k}", phi3, phi3_terms)
+        image(f"w2-image{k}", w2, w2_terms)
+    write("ghz-class", I.tensor_json((2, 2, 2), I.ghz_class(rng)))
+    write("w-class", I.tensor_json((2, 2, 2), I.w_class(rng)))
+    write("big-lone", {"dims": [2, 2, 2], "entries": [{"i": [0, 0, 0], "re": BIG}]})
+    write("big-pair", {"dims": [2, 2, 2], "entries": [{"i": [0, 0, 0], "re": BIG},
+                                                      {"i": [1, 1, 1], "re": "1"}]})
+    write("big-witness", {"dims": [2, 2, 2], "terms": [
+        {"a": [BIG, "0"], "b": ["1", "0"], "c": ["1", "0"]},
+        {"a": ["0", "1"], "b": ["0", "1"], "c": ["0", "1"]}]})
+    return files
+
+
+def corpus(f: dict) -> list:
+    """The commands, as argument lists without `--json`."""
+    simulate = ["--simulate", "--out", "protocol.json"]
+    return [
+        # converts that build and simulate a protocol
+        ["convert", "W2", "--ghz", "8", "--witness", "fiduccia8.json", "--simulate"],
+        ["convert", "PHI3", "--ghz", "7", "--simulate"],
+        *(["convert", f["phi3sq"], "--ghz", "64", "--witness", f[f"phi3sq-witness{k}"],
+           *simulate] for k in range(2)),
+        *(["convert", f[name], "--ghz", "8", "--witness", f[f"{name}-witness"], *simulate]
+          for name in ("phi3-image0", "w2-image0", "phi3-image1", "w2-image1")),
+        ["convert", "GHZ", "--n", "1", "--ghz", "200", "--simulate"],
+        # verdicts
+        ["convert", "W", "--ghz", "2"],
+        ["convert", "W", "--ghz", "3"],
+        ["convert", f["ghz-class"], "--ghz", "2", "--seed", "5"],
+        ["convert", "PHI3", "--ghz", "4"],
+        # rank, verify, classify, state
+        ["rank", "W", "--als", "2"],
+        ["rank", "GHZ", "--als", "2", "--out", "als.json"],
+        ["rank", "W2", "--witness", "strassen7.json"],
+        ["rank", "W2", "--witness", "fiduccia8.json"],
+        ["verify", "MATMUL", "--witness", "strassen7.json"],
+        ["verify", "W2", "--witness", "strassen7.json"],
+        ["verify", f["phi3-image0"], "--witness", f["phi3-image0-witness"]],
+        ["classify", "W"],
+        ["classify", f["w-class"]],
+        ["state", "PHI3"],
+        ["state", "GHZ", "--n", "3", "--out", "state.json"],
+        ["state", f["phi3-image0"]],
+        # demos
+        ["demo", "nonadditivity"],
+        ["demo", "ghz3-to-w2"],
+        ["demo", "ghz-to-phi3"],
+        ["demo", "epr-rate"],
+        # values no float holds (exit 2 with one error line since the
+        # overflow fix; a traceback and exit 1 before it)
+        ["convert", f["big-lone"], "--ghz", "1"],
+        ["convert", f["big-pair"], "--ghz", "2", "--witness", f["big-witness"], *simulate],
+        ["rank", f["big-lone"], "--als", "1"],
+    ]
+
+
+def run(checkout: Path, argv: list, workdir: Path) -> dict:
+    """One command in a fresh working directory: its exit code, stdout,
+    stderr and the files it left there."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "tenrank.cli", *argv], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=600)
+    written = {path.name: path.read_text(encoding="utf-8", errors="replace")
+               for path in sorted(workdir.iterdir())}
+    return {"exit code": str(proc.returncode), "stdout": proc.stdout, "stderr": proc.stderr,
+            **{f"file {name}": text for name, text in written.items()}}
+
+
+def differences(parent: dict, change: dict) -> list:
+    lines = []
+    for key in sorted(set(parent) | set(change)):
+        old, new = parent.get(key), change.get(key)
+        if old == new:
+            continue
+        if old is None or new is None:
+            lines.append(f"  {key}: only in {'change' if old is None else 'parent'}")
+            continue
+        lines.append(f"  {key} differs:")
+        diff = difflib.unified_diff(old.splitlines(), new.splitlines(), "parent", "change",
+                                    lineterm="", n=0)
+        lines += [f"    {line[:160]}" for line in list(diff)[2:8]]
+    return lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/same_outputs.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    checkouts = [Path(arg).resolve() for arg in args]
+    for checkout in checkouts:
+        if not (checkout / "src" / "tenrank" / "cli.py").is_file():
+            print(f"error: {checkout} has no src/tenrank/cli.py", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        root = Path(tmp)
+        (root / "inputs").mkdir()
+        commands = [[*json_flag, *base] for base in corpus(write_inputs(root / "inputs"))
+                    for json_flag in ([], ["--json"])]
+        differing = 0
+        for n, command in enumerate(commands):
+            parent, change = (run(checkout, command, root / side / str(n))
+                              for checkout, side in zip(checkouts, ("parent", "change")))
+            found = differences(parent, change)
+            shown = " ".join(Path(arg).name if arg.startswith(tmp) else arg for arg in command)
+            print(f"{'DIFF' if found else 'same'}  tenrank {shown}")
+            for line in found:
+                print(line)
+            differing += bool(found)
+    print(f"{len(commands)} commands, {differing} with differences")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
