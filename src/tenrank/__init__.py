@@ -39,6 +39,7 @@ from .decomp import (
     decomposition_from_json,
     decomposition_power,
     decomposition_to_json,
+    hyperdeterminant_2x2x2,
     make_decomposition,
     rank_bounds,
     rank_leq2_test_2x2x2,
@@ -61,7 +62,6 @@ from .slocc import (
     classify_three_qubit,
     decide_ghz_conversion,
     direction_deviation,
-    hyperdeterminant_2x2x2,
     protocol_to_json,
     schmidt_measure_bounds,
     simulate,

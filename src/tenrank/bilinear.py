@@ -28,10 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .decomp import ProductDecomposition, Term, strassen7_decomposition, verify_decomposition
+from .decomp import ProductDecomposition, Term, require_witness, strassen7_decomposition
 from .errors import InputError, StateError
 from .scalars import ONE, ZERO, Scalar, gaussian_integers, scalar_from_json, scalar_to_json
-from .tensors import LocalOperatorTriple, Tensor3, make_tensor
+from .tensors import LocalOperatorTriple, Tensor3, json_ints, make_tensor
 
 
 def matmul_tensor(m: int, n: int, p: int) -> Tensor3:
@@ -43,12 +43,9 @@ def matmul_tensor(m: int, n: int, p: int) -> Tensor3:
     """
     if min(m, n, p) < 1:
         raise InputError("matrix dimensions must be positive")
-    entries = {}
-    for i in range(m):
-        for k in range(n):
-            for j in range(p):
-                entries[(i * n + k, k * p + j, i * p + j)] = 1
-    return make_tensor((m * n, n * p, m * p), entries)
+    return make_tensor((m * n, n * p, m * p),
+                       (((i * n + k, k * p + j, i * p + j), 1)
+                        for i in range(m) for k in range(n) for j in range(p)))
 
 
 def naive_matmul_decomposition(m: int, n: int, p: int) -> ProductDecomposition:
@@ -426,13 +423,8 @@ def evaluate_bilinear(p: BilinearProgram, avec, bvec,
 def verify_for_matmul(p: BilinearProgram, m: int, n: int, k: int) -> BilinearProgram:
     """Certify a program against the <m,n,k> tensor; returns a copy marked
     as verified and prepared for the executor, which run_bilinear_matmul
-    requires."""
-    target = matmul_tensor(m, n, k)
-    result = verify_decomposition(target, from_bilinear(p))
-    if not result.ok:
-        raise InputError(
-            f"program does not compute <{m},{n},{k}>: first mismatch at {result.first_mismatch}"
-        )
+    requires.  A program that does not compute it raises WitnessMismatch."""
+    require_witness(matmul_tensor(m, n, k), from_bilinear(p))
     verified = replace(p, verified_matmul=(m, n, k))
     verified._prepared  # built once here, so runs of the program never rebuild it
     return verified
@@ -565,7 +557,7 @@ def strassen_multiply_float(x: np.ndarray, y: np.ndarray, cutoff: int = 1) -> tu
 # ---------------------------------------------------------------------------
 #
 # {"rows": R, "cols": C, "data": [["p/q", ...], ...]}; complex entries use
-# the {"re","im"} object form.
+# the {"re","im"} object form.  R and C are JSON integers, never coerced.
 
 
 def matrix_to_json(m) -> dict:
@@ -579,9 +571,9 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj: dict) -> tuple:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = json_ints([obj["rows"], obj["cols"]], 2, "matrix JSON rows and cols")
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise InputError("matrix JSON data must be a list of rows")

@@ -47,7 +47,7 @@ from .decomp import (
     verify_power_randomized,
     als_search,
 )
-from .errors import TenrankError, WitnessMismatch
+from .errors import ResourceError, TenrankError, WitnessMismatch
 from .slocc import (
     build_protocol,
     classify_three_qubit,
@@ -57,7 +57,7 @@ from .slocc import (
     simulate,
     verdict_to_json,
 )
-from .tensors import Tensor3, tensor_from_json, tensor_to_json
+from .tensors import Tensor3, dense_dims, tensor_from_json, tensor_to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,7 +171,7 @@ def _cmd_rank(args) -> int:
         payload["witness"] = {"ok": True, "terms": upper}
         lines.append(f"witness verified: {upper} terms")
 
-    if args.als:
+    if args.als is not None:
         cfg = AlsConfig(seed=args.seed)
         found = als_search(t, args.als, cfg)
         payload["als"] = {
@@ -261,6 +261,10 @@ def _cmd_matmul(args) -> int:
     if k < 0:
         raise _CliError("--n must be nonnegative")
     size = 1 << k
+    try:
+        dense_dims((size, size, 1))
+    except ResourceError as exc:
+        raise _CliError(f"matmul is limited to --n <= 10: {exc}") from exc
     rng = random.Random(args.seed)
 
     if args.bench:
@@ -279,8 +283,6 @@ def _cmd_matmul(args) -> int:
         }))
         return EXIT_OK
 
-    if args.check and k > 10:
-        raise _CliError("exact check mode is limited to --n <= 10")
     x = sampling.matrix(rng, size, size, max_num=9, max_den=2)
     y = sampling.matrix(rng, size, size, max_num=9, max_den=2)
     z, count = strassen_multiply(x, y, cutoff=args.cutoff)

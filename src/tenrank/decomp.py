@@ -35,15 +35,14 @@ from .scalars import (
     scalar_to_json,
 )
 from .tensors import (
-    ENTRY_CAP,
     LEGS,
     LocalOperatorTriple,
     Tensor3,
     contract,
+    dense_dims,
     flattening_rank,
-    int_triple,
+    json_ints,
     make_tensor,
-    slice_c,
     tensor_product,
 )
 
@@ -160,9 +159,7 @@ def _dense_numerators(d: ProductDecomposition):
     the arrays are int64 when that bound is below 2^62 and hold Python ints
     (dtype object) otherwise; either way the result is exact.
     """
-    da, db, dc = d.dims
-    if da * db * dc > ENTRY_CAP:
-        raise ResourceError(f"reconstruction of dims {d.dims} exceeds the dense cap")
+    da, db, dc = dense_dims(d.dims)
     terms = list(d.terms)
     r = len(terms)
     # each distinct Scalar object of a leg becomes numerators once; the
@@ -226,14 +223,7 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
     if t.dims != d.dims:
         raise WitnessMismatch(f"dims mismatch: tensor {t.dims} vs decomposition {d.dims}")
     if len(d.terms) > DENSE_VERIFY_LIMIT:
-        rng = random.Random(20)
-        for _ in range(20):
-            x = sampling.vector(rng, t.dims[0])
-            y = sampling.vector(rng, t.dims[1])
-            z = sampling.vector(rng, t.dims[2])
-            if contract(t, x, y, z) != decomposition_contract(d, x, y, z):
-                return VerifyResult(False, None, randomized=True)
-        return VerifyResult(True, randomized=True)
+        return _probe(t, d, copies=1, probes=20, seed=20)
     re, im, den = _dense_numerators(d)
     # off t's support the reconstruction must vanish; on it compare the
     # cross-multiplied numerators t_num * den == r_num * t_den
@@ -337,7 +327,7 @@ def builtin_state(name: str, *params: int) -> Tensor3:
         n = params[0] if params else 2
         if n < 1:
             raise InputError("GHZ level count must be positive")
-        return make_tensor((n, n, n), {(i, i, i): 1 for i in range(n)})
+        return make_tensor((n, n, n), (((i, i, i), 1) for i in range(n)))
     if key == "W":
         return make_tensor((2, 2, 2), {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1})
     if key == "EPR":
@@ -515,18 +505,27 @@ def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
         raise InputError(
             f"power dims {power.dims} are not the {n}-th power of base dims {base_target.dims}"
         )
-    rng = random.Random(seed)
-    da, db, dc = base_target.dims
     base = ProductDecomposition(base_target.dims, lazy.base_terms)
+    return _probe(base_target, base, n, probes, seed)
+
+
+def _probe(target: Tensor3, d: ProductDecomposition, copies: int, probes: int,
+           seed: int) -> VerifyResult:
+    """The randomized contraction check shared by both verifiers: each of
+    `probes` probes draws rational x, y, z per copy from a stdlib generator
+    seeded with `seed` and compares the products over the copies of
+    <d, x, y, z> and <target, x, y, z>; one copy checks d against target
+    itself."""
+    rng = random.Random(seed)
+    da, db, dc = target.dims
     for _ in range(probes):
-        lhs = ONE
-        rhs = ONE
-        for _ in range(n):
+        lhs = rhs = ONE
+        for _ in range(copies):
             x = sampling.vector(rng, da)
             y = sampling.vector(rng, db)
             z = sampling.vector(rng, dc)
-            lhs = lhs * decomposition_contract(base, x, y, z)
-            rhs = rhs * contract(base_target, x, y, z)
+            lhs = lhs * decomposition_contract(d, x, y, z)
+            rhs = rhs * contract(target, x, y, z)
         if lhs != rhs:
             return VerifyResult(False, None, randomized=True)
     return VerifyResult(True, randomized=True)
@@ -543,48 +542,46 @@ class Rank222(enum.Enum):
     DEGENERATE = "degenerate"
 
 
+def hyperdeterminant_2x2x2(t: Tensor3):
+    """Cayley's degree-4 invariant of a 2x2x2 tensor, evaluated exactly.
+
+    Nonzero exactly on the GHZ class; vanishes on W and on all degenerate
+    classes.  Invariant (up to determinant factors) under invertible local
+    operators, which makes the GHZ/W split a local-equivalence invariant.
+    """
+    if t.dims != (2, 2, 2):
+        raise InputError(f"hyperdeterminant needs dims (2, 2, 2), got {t.dims}")
+
+    def e(a, b, c):
+        return t[(a, b, c)]
+
+    t000, t001, t010, t011 = e(0, 0, 0), e(0, 0, 1), e(0, 1, 0), e(0, 1, 1)
+    t100, t101, t110, t111 = e(1, 0, 0), e(1, 0, 1), e(1, 1, 0), e(1, 1, 1)
+    squares = (t000 * t000 * t111 * t111 + t001 * t001 * t110 * t110
+               + t010 * t010 * t101 * t101 + t100 * t100 * t011 * t011)
+    pairs = (t000 * t001 * t110 * t111 + t000 * t010 * t101 * t111
+             + t000 * t011 * t100 * t111 + t001 * t010 * t101 * t110
+             + t001 * t011 * t100 * t110 + t010 * t011 * t100 * t101)
+    quads = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
+    return squares - 2 * pairs + 4 * quads
+
+
 def rank_leq2_test_2x2x2(t: Tensor3) -> Rank222:
-    """Exact slice-pencil rank test for 2x2x2 tensors.
+    """Exact rank test for 2x2x2 tensors.
 
     DEGENERATE when some flattening rank is below 2 (the tensor rank then
-    equals the maximum flattening rank).  Otherwise, with an invertible
-    member S of the two-slice pencil, the tensor has rank <= 2 exactly
-    when S' S^-1 is diagonalizable over the complex numbers, decided
-    through the discriminant of its characteristic polynomial plus the
-    scalar-matrix degenerate case.  No eigenvalues are ever computed, so
-    the test stays exact over the rationals.
+    equals the maximum flattening rank).  Otherwise the rank is 2 exactly
+    when the hyperdeterminant is nonzero: it is the discriminant of the
+    binary quadratic det(x S0 + y S1) of the two slices, whose two distinct
+    roots split the tensor into two product terms, while a double root puts
+    it in the W class, of rank 3.  No roots are computed, so the test stays
+    exact.
     """
     if t.dims != (2, 2, 2):
         raise InputError(f"rank test needs dims (2, 2, 2), got {t.dims}")
-    if min(flattening_rank(t, leg) for leg in ("A", "B", "C")) < 2:
+    if min(flattening_rank(t, leg) for leg in LEGS) < 2:
         return Rank222.DEGENERATE
-    s0, s1 = slice_c(t, 0), slice_c(t, 1)
-
-    def combine(alpha, beta):
-        return tuple(
-            tuple(alpha * x + beta * y for x, y in zip(r0, r1))
-            for r0, r1 in zip(s0, s1)
-        )
-
-    pencil = None
-    for alpha, beta in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2)):
-        candidate = combine(Scalar(alpha), Scalar(beta))
-        if linalg.det(candidate):
-            pencil = (candidate, (alpha, beta))
-            break
-    if pencil is None:
-        # both slices independent and not all-singular once every flattening
-        # rank is 2, so an invertible member always exists among the candidates
-        raise RuntimeError(f"no invertible member in the slice pencil of {t!r}")
-    s, (alpha, beta) = pencil
-    other = s1 if (alpha, beta) != (0, 1) else s0
-    m = linalg.mat_mul(other, linalg.inverse(s))
-    trace = m[0][0] + m[1][1]
-    discriminant = trace * trace - Scalar(4) * linalg.det(m)
-    if discriminant:
-        return Rank222.RANK_LEQ2
-    is_scalar_matrix = (not m[0][1]) and (not m[1][0]) and m[0][0] == m[1][1]
-    return Rank222.RANK_LEQ2 if is_scalar_matrix else Rank222.RANK_GEQ3
+    return Rank222.RANK_LEQ2 if hyperdeterminant_2x2x2(t) else Rank222.RANK_GEQ3
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +769,7 @@ def decomposition_from_json(obj: dict) -> ProductDecomposition:
         raise InputError(f"decomposition JSON must be an object, got {type(obj).__name__}")
     if obj.get("exact", True) is False:
         raise InputError("float decomposition cannot be loaded as an exact witness")
-    dims = int_triple(obj.get("dims"), "decomposition JSON dims")
+    dims = json_ints(obj.get("dims"), 3, "decomposition JSON dims")
     terms = []
     memo = {}
     try:

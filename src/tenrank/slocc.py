@@ -21,6 +21,7 @@ from .als import AlsConfig
 from .decomp import (
     ProductDecomposition,
     als_search,
+    hyperdeterminant_2x2x2,
     rank_bounds,
     rationalize_result,
     reconstruct,
@@ -28,7 +29,7 @@ from .decomp import (
 )
 from .errors import InputError, ResourceError
 from .scalars import ZERO, distinct_objects
-from .tensors import LocalOperatorTriple, Tensor3, check_entry_cap, flattening_rank
+from .tensors import LocalOperatorTriple, Tensor3, dense_dims, flattening_rank
 
 #: dense protocol operators are only assembled up to this GHZ level
 PROTOCOL_DIM_CAP = 1 << 14
@@ -137,7 +138,7 @@ def _ghz_array(n: int) -> np.ndarray:
     """GHZ(n) as the dense complex array `Tensor3.to_numpy` gives for
     `builtin_state("GHZ", n)`, built without the exact tensor (subject to
     the same entry cap)."""
-    check_entry_cap(n * n * n)
+    dense_dims((n, n, n))
     arr = np.zeros((n, n, n), dtype=np.complex128)
     diagonal = np.arange(n)
     arr[diagonal, diagonal, diagonal] = 1
@@ -274,30 +275,6 @@ class ThreeQubitClass(enum.Enum):
     BISEP_C_AB = "bisep_c_ab"
     W = "w"
     GHZ = "ghz"
-
-
-def hyperdeterminant_2x2x2(t: Tensor3):
-    """Cayley's degree-4 invariant of a 2x2x2 tensor, evaluated exactly.
-
-    Nonzero exactly on the GHZ class; vanishes on W and on all degenerate
-    classes.  Invariant (up to determinant factors) under invertible local
-    operators, which makes the GHZ/W split a local-equivalence invariant.
-    """
-    if t.dims != (2, 2, 2):
-        raise InputError(f"hyperdeterminant needs dims (2, 2, 2), got {t.dims}")
-
-    def e(a, b, c):
-        return t[(a, b, c)]
-
-    t000, t001, t010, t011 = e(0, 0, 0), e(0, 0, 1), e(0, 1, 0), e(0, 1, 1)
-    t100, t101, t110, t111 = e(1, 0, 0), e(1, 0, 1), e(1, 1, 0), e(1, 1, 1)
-    squares = (t000 * t000 * t111 * t111 + t001 * t001 * t110 * t110
-               + t010 * t010 * t101 * t101 + t100 * t100 * t011 * t011)
-    pairs = (t000 * t001 * t110 * t111 + t000 * t010 * t101 * t111
-             + t000 * t011 * t100 * t111 + t001 * t010 * t101 * t110
-             + t001 * t011 * t100 * t110 + t010 * t011 * t100 * t101)
-    quads = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
-    return squares - 2 * pairs + 4 * quads
 
 
 def classify_three_qubit(t: Tensor3) -> ThreeQubitClass:

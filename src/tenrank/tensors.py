@@ -37,10 +37,17 @@ ENTRY_CAP = 1 << 21
 LEGS = ("A", "B", "C")
 
 
-def check_entry_cap(total: int) -> None:
-    """ResourceError when a dense tensor of `total` entries passes ENTRY_CAP."""
+def dense_dims(dims) -> tuple[int, int, int]:
+    """dims as a triple, once a dense tensor of them is allowed: InputError
+    unless all three are positive, ResourceError past ENTRY_CAP entries.
+    The one size check, made before any per-entry work."""
+    da, db, dc = dims
+    if min(da, db, dc) < 1:
+        raise InputError(f"dimensions must be positive, got {dims}")
+    total = da * db * dc
     if total > ENTRY_CAP:
         raise ResourceError(f"tensor with {total} entries exceeds the dense cap {ENTRY_CAP}")
+    return (da, db, dc)
 
 
 class Tensor3:
@@ -54,17 +61,13 @@ class Tensor3:
     __slots__ = ("dims", "entries", "_support")
 
     def __init__(self, dims, entries):
-        da, db, dc = dims
-        if min(da, db, dc) < 1:
-            raise InputError(f"dimensions must be positive, got {dims}")
-        total = da * db * dc
-        check_entry_cap(total)
+        dims = dense_dims(dims)
         entries = tuple(entries)
-        if len(entries) != total:
+        if len(entries) != dims[0] * dims[1] * dims[2]:
             raise InputError(
                 f"entry count {len(entries)} does not match dims {dims}"
             )
-        object.__setattr__(self, "dims", (da, db, dc))
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
@@ -98,10 +101,6 @@ class Tensor3:
         if self.dims != other.dims:
             raise InputError(f"dims mismatch: {self.dims} vs {other.dims}")
         return Tensor3(self.dims, tuple(x - y for x, y in zip(self.entries, other.entries)))
-
-    def scale(self, factor) -> "Tensor3":
-        factor = as_scalar(factor)
-        return Tensor3(self.dims, tuple(factor * x for x in self.entries))
 
     @property
     def support(self) -> tuple:
@@ -159,14 +158,11 @@ def make_tensor(dims, entries) -> Tensor3:
     `entries` is a mapping {(a, b, c): value} or an iterable of
     ((a, b, c), value) pairs; values may be Scalars, ints, Fractions or
     "p/q" strings.  Unlisted entries are zero.  Out-of-range or duplicate
-    indices raise InputError.
+    indices raise InputError.  The dims are checked before `entries` is
+    read, so a lazy iterable is never consumed for a refused size.
     """
-    da, db, dc = dims
-    if min(da, db, dc) < 1:
-        raise InputError(f"dimensions must be positive, got {dims}")
-    total = da * db * dc
-    check_entry_cap(total)
-    flat = [ZERO] * total
+    da, db, dc = dims = dense_dims(dims)
+    flat = [ZERO] * (da * db * dc)
     seen = set()
     support = []
     items = entries.items() if hasattr(entries, "items") else entries
@@ -181,7 +177,7 @@ def make_tensor(dims, entries) -> Tensor3:
         flat[offset] = value = as_scalar(value)
         if value:
             support.append(offset)
-    t = Tensor3((da, db, dc), flat)
+    t = Tensor3(dims, flat)
     support.sort()
     object.__setattr__(t, "_support", tuple(support))
     return t
@@ -196,16 +192,9 @@ def tensor_product(t1: Tensor3, t2: Tensor3) -> Tensor3:
     (x⊗y⊗z)·(u⊗v⊗w) = (x⊗u)⊗(y⊗v)⊗(z⊗w)."""
     da1, db1, dc1 = t1.dims
     da2, db2, dc2 = t2.dims
-    dims = (da1 * da2, db1 * db2, dc1 * dc2)
-    if dims[0] * dims[1] * dims[2] > ENTRY_CAP:
-        raise ResourceError(
-            f"product tensor {dims} exceeds the dense cap {ENTRY_CAP}"
-        )
-    new = {}
-    for (a1, b1, c1), v1 in t1.nonzeros():
-        for (a2, b2, c2), v2 in t2.nonzeros():
-            new[(a1 * da2 + a2, b1 * db2 + b2, c1 * dc2 + c2)] = v1 * v2
-    return make_tensor(dims, new)
+    return make_tensor((da1 * da2, db1 * db2, dc1 * dc2), (
+        ((a1 * da2 + a2, b1 * db2 + b2, c1 * dc2 + c2), v1 * v2)
+        for (a1, b1, c1), v1 in t1.nonzeros() for (a2, b2, c2), v2 in t2.nonzeros()))
 
 
 def flattening(t: Tensor3, leg: str) -> tuple:
@@ -214,24 +203,17 @@ def flattening(t: Tensor3, leg: str) -> tuple:
     Row index is the chosen leg; the remaining legs keep their relative
     order in the column index.
     """
-    da, db, dc = t.dims
+    if leg not in LEGS:
+        raise InputError(f"unknown leg {leg!r}, expected one of {LEGS}")
+    axis = LEGS.index(leg)
+    _, db, dc = dims = t.dims
+    strides = (db * dc, dc, 1)
+    (d1, s1), (d2, s2) = [(dims[k], strides[k]) for k in range(3) if k != axis]
+    # the offsets of one row's entries, shifted by each row's first offset
+    columns = [i * s1 + j * s2 for i in range(d1) for j in range(d2)]
     e = t.entries
-    if leg == "A":
-        return tuple(
-            tuple(e[(a * db + b) * dc + c] for b in range(db) for c in range(dc))
-            for a in range(da)
-        )
-    if leg == "B":
-        return tuple(
-            tuple(e[(a * db + b) * dc + c] for a in range(da) for c in range(dc))
-            for b in range(db)
-        )
-    if leg == "C":
-        return tuple(
-            tuple(e[(a * db + b) * dc + c] for a in range(da) for b in range(db))
-            for c in range(dc)
-        )
-    raise InputError(f"unknown leg {leg!r}, expected one of {LEGS}")
+    return tuple(tuple(e[base + offset] for offset in columns)
+                 for base in range(0, dims[axis] * strides[axis], strides[axis]))
 
 
 def flattening_rank(t: Tensor3, leg: str) -> int:
@@ -245,15 +227,6 @@ def flattening_rank(t: Tensor3, leg: str) -> int:
 
 def max_flattening_rank(t: Tensor3) -> int:
     return max(flattening_rank(t, leg) for leg in LEGS)
-
-
-def slice_c(t: Tensor3, c: int) -> tuple:
-    """The dA x dB matrix T[:, :, c]."""
-    da, db, dc = t.dims
-    e = t.entries
-    return tuple(
-        tuple(e[(a * db + b) * dc + c] for b in range(db)) for a in range(da)
-    )
 
 
 def support_basis(t: Tensor3) -> list:
@@ -319,11 +292,7 @@ def apply_local_operators(ops: LocalOperatorTriple, t: Tensor3) -> Tensor3:
         raise InputError(
             f"operator input dims {ops.input_dims()} do not match tensor dims {t.dims}"
         )
-    out_dims = ops.output_dims()
-    if out_dims[0] * out_dims[1] * out_dims[2] > ENTRY_CAP:
-        raise ResourceError(
-            f"output tensor {out_dims} exceeds the dense cap {ENTRY_CAP}"
-        )
+    out_dims = dense_dims(ops.output_dims())
 
     def columns(m):
         rows, cols = linalg.shape(m)
@@ -367,11 +336,11 @@ def contract(t: Tensor3, x, y, z) -> Scalar:
 # strings are rejected rather than coerced.
 
 
-def int_triple(value, what: str) -> tuple[int, int, int]:
-    """Three JSON integers as a tuple (InputError for anything else)."""
-    if (not isinstance(value, (list, tuple)) or len(value) != 3
+def json_ints(value, count: int, what: str) -> tuple:
+    """`count` JSON integers as a tuple (InputError for anything else)."""
+    if (not isinstance(value, (list, tuple)) or len(value) != count
             or any(type(x) is not int for x in value)):
-        raise InputError(f"{what} must be 3 integers, got {value!r}")
+        raise InputError(f"{what} must be {count} integers, got {value!r}")
     return tuple(value)
 
 
@@ -388,12 +357,12 @@ def tensor_to_json(t: Tensor3) -> dict:
 def tensor_from_json(obj: dict) -> Tensor3:
     if not isinstance(obj, dict):
         raise InputError(f"tensor JSON must be an object, got {type(obj).__name__}")
-    dims = int_triple(obj.get("dims"), "tensor JSON dims")
+    dims = json_ints(obj.get("dims"), 3, "tensor JSON dims")
     entries = []
     memo = {}
     try:
         for item in obj.get("entries", []):
-            index = int_triple(item["i"], "tensor JSON index")
+            index = json_ints(item["i"], 3, "tensor JSON index")
             value = scalar_from_json({"re": item.get("re", "0"), "im": item.get("im", "0")},
                                      memo)
             entries.append((index, value))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from tenrank.decomp import (
     transport,
     verify_decomposition,
 )
-from tenrank.errors import InputError, StateError
+from tenrank.errors import InputError, StateError, WitnessMismatch
 from tenrank.scalars import MINUS_ONE, ONE, ZERO, Scalar
 from tenrank.tensors import apply_local_operators, contract, flattening, tensor_to_json
 
@@ -369,6 +370,15 @@ def test_verify_for_matmul_rejects_wrong_program():
     p = to_bilinear(builtin_decomposition("FIDUCCIA8_W2"))  # computes W2, not <2,2,2>
     with pytest.raises(InputError):
         verify_for_matmul(p, 2, 2, 2)
+
+
+def test_verify_for_matmul_rejects_a_corrupted_strassen_program():
+    p = to_bilinear(builtin_decomposition("STRASSEN7"))
+    corrupted = replace(p, w=((p.w[0][0] + 1,) + p.w[0][1:],) + p.w[1:])
+    with pytest.raises(WitnessMismatch) as raised:
+        verify_for_matmul(corrupted, 2, 2, 2)
+    assert raised.value.first_mismatch is not None
+    assert verify_for_matmul(p, 2, 2, 2).verified_matmul == (2, 2, 2)
 
 
 def test_run_input_validation():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -444,6 +445,29 @@ def test_matmul_scalar_case(capsys):
 def test_matmul_check_cap(capsys):
     code, _, err = run(capsys, "matmul", "--n", "11", "--check")
     assert code == 2 and "--n <= 10" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "GHZ", "--n", "30"),
+    ("state", "MATMUL", "--dims", "1000", "1000", "1000"),
+    ("matmul", "--n", "40", "--bench"),
+    ("matmul", "--n", "11"),
+])
+def test_sizes_past_the_dense_cap_exit_2_before_any_entry_is_built(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "exceeds the dense cap" in err
+    if argv[0] == "matmul":
+        assert "--n <= 10" in err
+
+
+def test_rank_als_zero_exits_2_like_negative_ranks(capsys):
+    for rank in ("0", "-1"):
+        code, out, err = run(capsys, "rank", "W", "--als", rank)
+        assert code == 2 and out == "" and err.startswith("error:"), rank
 
 
 def test_matmul_bench_line(capsys):

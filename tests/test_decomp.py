@@ -152,6 +152,21 @@ def test_verify_randomized_fallback_above_the_dense_limit(monkeypatch):
         verify_decomposition(builtin_state("W"), d)
 
 
+def test_randomized_fallback_is_the_one_copy_power_check_with_seed_20(monkeypatch):
+    # the fallback and verify_power_randomized draw the same probes: a one-copy
+    # lazy power of d, checked with seed 20 and 20 probes, gives the same result
+    monkeypatch.setattr(decomp, "DENSE_VERIFY_LIMIT", 3)
+    mm, d = matmul_tensor(2, 2, 2), builtin_decomposition("STRASSEN7")
+    first = d.terms[0]
+    corrupted = ProductDecomposition(
+        d.dims, (Term(first.a, first.b, (first.c[0] + 1,) + first.c[1:]),) + d.terms[1:])
+    for candidate in (d, corrupted):
+        one_copy = ProductDecomposition(d.dims, KroneckerPowerTerms(candidate.terms, 1))
+        expected = verify_power_randomized(mm, one_copy, probes=20, seed=20)
+        assert verify_decomposition(mm, candidate) == expected
+        assert expected.ok is (candidate is d)
+
+
 # -- the integer reconstruction kernel against the per-Scalar reference -------
 
 
@@ -389,12 +404,6 @@ def test_builtin_witness_is_verified_against_its_target():
         builtin_witness(make_tensor((3, 3, 3), {(0, 0, 0): 1}), "GHZ(3)")
 
 
-def test_rank222_missing_invertible_pencil_member_is_an_explicit_error(monkeypatch):
-    monkeypatch.setattr(linalg, "det", lambda m: Scalar(0))
-    with pytest.raises(RuntimeError):
-        rank_leq2_test_2x2x2(builtin_state("GHZ", 2))
-
-
 def test_make_decomposition_validation():
     with pytest.raises(InputError):
         make_decomposition((2, 2, 2), [((1, 0), (1, 0), (0, 0))])
@@ -584,14 +593,43 @@ def test_rank222_examples():
 
 def test_w_pencil_is_nonzero_nilpotent_oracle():
     # hand-checkable oracle for the W case: S1 S0^-1 = [[0,1],[0,0]]
-    from tenrank.tensors import slice_c
-
     w = builtin_state("W")
-    s0 = slice_c(w, 0)
-    s1 = slice_c(w, 1)
+    s0, s1 = (tuple(tuple(w[a, b, c] for b in range(2)) for a in range(2)) for c in range(2))
     m = linalg.mat_mul(s1, linalg.inverse(s0))
     assert m == linalg.matrix([[0, 1], [0, 0]])
     assert linalg.mat_mul(m, m) == linalg.zeros(2, 2)  # nilpotent, nonzero
+
+
+def _image(ops, t):
+    return apply_local_operators(LocalOperatorTriple(*ops), t)
+
+
+def test_rank222_by_construction_oracles():
+    # the class of each tensor is known from how it is built, not computed:
+    # invertible images keep GHZ (rank 2) and W (rank 3); product,
+    # biseparable and singular images have a flattening rank below 2
+    rng = random.Random(73)
+    ghz, w = builtin_state("GHZ", 2), builtin_state("W")
+    product = make_tensor((2, 2, 2), {(0, 0, 0): 1})
+    biseparable = [make_tensor((2, 2, 2), {pair(i): 1 for i in range(2)})
+                   for pair in (lambda i: (0, i, i), lambda i: (i, 0, i), lambda i: (i, i, 0))]
+    rank_one = linalg.matrix([[1, 0], [0, 0]])
+
+    def invertible():
+        return sampling.invertible_matrix(rng, 2, complex_parts=True, max_num=3, max_den=2)
+
+    for _ in range(10):
+        ops = [invertible() for _ in range(3)]
+        assert rank_leq2_test_2x2x2(_image(ops, ghz)) is Rank222.RANK_LEQ2
+        assert rank_leq2_test_2x2x2(_image(ops, w)) is Rank222.RANK_GEQ3
+        for t in (product, *biseparable):
+            assert rank_leq2_test_2x2x2(_image(ops, t)) is Rank222.DEGENERATE
+        # one operator of rank 1 (or 0) collapses that leg's flattening
+        leg = rng.randrange(3)
+        ops[leg] = linalg.mat_mul(ops[leg], rank_one) if rng.random() < 0.8 else \
+            linalg.matrix([[0, 0], [0, 0]])
+        for t in (ghz, w):
+            assert rank_leq2_test_2x2x2(_image(ops, t)) is Rank222.DEGENERATE
 
 
 def test_rank222_agrees_with_two_term_witnesses():

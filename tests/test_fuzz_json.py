@@ -1,11 +1,12 @@
-"""Property tests: malformed tensor and witness JSON never escapes as a
-traceback.
+"""Property tests: malformed tensor, witness and matrix JSON never escapes
+as a traceback.
 
 Every payload either parses, or the parser raises InputError and the CLI
-prints one "error:" line and exits 2.  A payload parses only if its dims
-and indices are JSON integers and no scalar part is a boolean: nothing is
-coerced.  Payloads are arbitrary JSON values and single-field replacements
-or deletions in a valid file.  Numbers stay
+prints one "error:" line and exits 2 (matrix JSON has no CLI reader, so
+there only the parser is run).  A payload parses only if its dims,
+indices, rows and cols are JSON integers and no scalar part is a
+boolean: nothing is coerced.  Payloads are arbitrary JSON values and
+single-field replacements or deletions in a valid file.  Numbers stay
 small (plus the infinities and NaN that JSON readers accept), so the
 dense-storage cap, a separate ResourceError, is not what runs here.
 Examples are derandomized and bounded, so the suite stays deterministic.
@@ -17,6 +18,7 @@ import math
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from tenrank.bilinear import matrix_from_json
 from tenrank.cli import main
 from tenrank.decomp import decomposition_from_json, decomposition_to_json, w_rank3_decomposition
 from tenrank.errors import InputError
@@ -25,7 +27,8 @@ from tenrank.tensors import tensor_from_json
 FUZZ = settings(derandomize=True, max_examples=100, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-KEYS = ["dims", "entries", "terms", "exact", "i", "re", "im", "a", "b", "c"]
+KEYS = ["dims", "entries", "terms", "exact", "i", "re", "im", "a", "b", "c",
+        "rows", "cols", "data"]
 #: short strings over the characters of rationals and of a few keys
 TEXT = st.text(alphabet="0123456789/-+. eEabcijmx", max_size=5)
 
@@ -41,6 +44,7 @@ json_values = st.recursive(
 VALID_TENSOR = {"dims": [2, 2, 2], "entries": [{"i": [0, 0, 1], "re": "1"},
                                                {"i": [1, 1, 0], "re": "1/2", "im": "-3"}]}
 VALID_WITNESS = decomposition_to_json(w_rank3_decomposition())
+VALID_MATRIX = {"rows": 2, "cols": 1, "data": [["1/2"], [{"re": "0", "im": "-3"}]]}
 
 
 def _paths(value, path=()):
@@ -150,3 +154,17 @@ def test_witness_json_parses_or_exits_2(payload, capsys, tmp_path):
         assert code in (0, 3) and _witness_uncoerced(payload), payload
     else:
         assert code == 2 and out == "" and err.startswith("error:"), (payload, err)
+
+
+@FUZZ
+@given(payload=payloads(VALID_MATRIX))
+@example(payload=None)
+@example(payload={"rows": 1.9, "cols": 1, "data": [["1"]]})
+@example(payload={"rows": 1, "cols": True, "data": [["1"]]})
+@example(payload={"rows": "1", "cols": 1, "data": [["1"]]})
+def test_matrix_json_parses_or_raises_input_error(payload):
+    if _parses(matrix_from_json, payload):
+        rows, cols = payload["rows"], payload["cols"]
+        assert _exact_ints([rows, cols]), payload
+        assert len(payload["data"]) == rows
+        assert all(len(row) == cols and _no_bool_scalars(row) for row in payload["data"])

@@ -92,8 +92,11 @@ def corpus(f: dict) -> list:
         ["convert", "W", "--ghz", "3"],
         ["convert", f["ghz-class"], "--ghz", "2", "--seed", "5"],
         ["convert", "PHI3", "--ghz", "4"],
+        ["convert", f["w-class"], "--ghz", "2"],
+        ["convert", f["w-class"], "--ghz", "3"],
         # rank, verify, classify, state
         ["rank", "W", "--als", "2"],
+        ["rank", "W", "--als", "0"],
         ["rank", "GHZ", "--als", "2", "--out", "als.json"],
         ["rank", "W2", "--witness", "strassen7.json"],
         ["rank", "W2", "--witness", "fiduccia8.json"],
@@ -105,6 +108,13 @@ def corpus(f: dict) -> list:
         ["state", "PHI3"],
         ["state", "GHZ", "--n", "3", "--out", "state.json"],
         ["state", f["phi3-image0"]],
+        # matmul: exact with its check, and sizes past the dense cap (the
+        # float bench at --n 40 exits 1 with a traceback before the size
+        # check; sizes that allocate before it, such as exact --n 11
+        # without --check, are left out)
+        ["matmul", "--n", "3", "--check"],
+        ["matmul", "--n", "11", "--check"],
+        ["matmul", "--n", "40", "--bench"],
         # demos
         ["demo", "nonadditivity"],
         ["demo", "ghz3-to-w2"],
