@@ -74,6 +74,7 @@ from .tensors import (
     contract,
     flattening,
     flattening_rank,
+    flattening_ranks,
     identity_triple,
     make_tensor,
     max_flattening_rank,

@@ -28,9 +28,23 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .decomp import ProductDecomposition, Term, require_witness, strassen7_decomposition
+from .decomp import (
+    ProductDecomposition,
+    Term,
+    require_witness,
+    strassen7_decomposition,
+    term_values,
+)
 from .errors import InputError, StateError
-from .scalars import ONE, ZERO, Scalar, gaussian_integers, scalar_from_json, scalar_to_json
+from .scalars import (
+    ONE,
+    ZERO,
+    Scalar,
+    from_gaussian,
+    gaussian_integers,
+    scalar_from_json,
+    scalar_to_json,
+)
 from .tensors import LocalOperatorTriple, Tensor3, json_ints, make_tensor
 
 
@@ -183,13 +197,9 @@ class BilinearProgram:
 
 def to_bilinear(d: ProductDecomposition) -> BilinearProgram:
     """Decomposition -> program: u rows are the a-vectors, v rows the
-    b-vectors, w columns the c-vectors."""
-    u = tuple(term.a for term in d.terms)
-    v = tuple(term.b for term in d.terms)
-    dc = d.dims[2]
-    w = tuple(
-        tuple(term.c[l] for term in d.terms) for l in range(dc)
-    )
+    b-vectors, w columns the c-vectors; one Scalar per distinct value."""
+    u, v, c = (tuple(map(tuple, rows)) for rows in term_values(d, from_gaussian))
+    w = tuple(tuple(row[l] for row in c) for l in range(d.dims[2]))
     return BilinearProgram(u, v, w)
 
 

@@ -4,14 +4,16 @@ numeric search and small exact certificates.
 A ProductDecomposition asserts T = sum_k a_k (x) b_k (x) c_k and is the
 package's currency for tensor-rank upper bounds: an ExactMatch from
 `verify_decomposition` certifies rank(T) <= r.  Lower bounds come from
-flattening ranks and from the RankFacts registry of known exact ranks;
-`rank_bounds` combines both with the packaged witnesses.
+flattening ranks, the 2x2x2 rank test and the RankFacts registry of known
+exact ranks; `rank_bounds` combines them with the packaged witnesses.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import os
 import random
 from collections.abc import Sequence
@@ -30,17 +32,17 @@ from .scalars import (
     ZERO,
     Scalar,
     distinct_objects,
+    from_gaussian,
     gaussian_integers,
+    gaussian_to_json,
     scalar_from_json,
-    scalar_to_json,
 )
 from .tensors import (
-    LEGS,
     LocalOperatorTriple,
     Tensor3,
     contract,
     dense_dims,
-    flattening_rank,
+    flattening_ranks,
     json_ints,
     make_tensor,
     tensor_product,
@@ -69,10 +71,11 @@ class Term(NamedTuple):
 class ProductDecomposition:
     """r product terms (a_k, b_k, c_k) over exact scalars.
 
-    `terms` is any immutable sequence; large tensor powers use a lazy
-    sequence that generates Kronecker terms on demand (see
-    KroneckerPowerTerms) so the term count can exceed what fits in memory
-    as explicit vectors.
+    `terms` is any immutable sequence of Terms.  `make_decomposition`
+    stores the terms as Gaussian-integer arrays (ArrayTerms), and large
+    tensor powers use a lazy sequence that generates Kronecker terms on
+    demand (see KroneckerPowerTerms) so the term count can exceed what fits
+    in memory as explicit vectors.
     """
 
     dims: tuple
@@ -83,22 +86,141 @@ class ProductDecomposition:
         return len(self.terms)
 
 
+class Leg(NamedTuple):
+    """One leg of r product terms: r x dim arrays of the real and imaginary
+    numerators over the leg's least common denominator `den`, int64 when
+    every numerator is below 2^62 and Python ints (dtype object)
+    otherwise."""
+
+    re: np.ndarray
+    im: np.ndarray
+    den: int
+
+
+def _int_dtype(bound: int):
+    """int64 when `bound`, a bound on the absolute value of every integer
+    and partial result involved, is below 2^62; Python ints (dtype object)
+    otherwise, so nothing wraps."""
+    return np.int64 if bound < 1 << 62 else object
+
+
+def _to_leg(values, shape) -> Leg:
+    """Exact values (Scalars, ints, Fractions or "p/q" strings, term-major)
+    as a Leg of the given shape; each distinct object is converted once."""
+    distinct, index = distinct_objects(values)
+    re, im, den = gaussian_integers(distinct)
+    dtype = _int_dtype(max(map(abs, re + im), default=0))
+    return Leg(*(np.array(part, dtype=dtype)[index].reshape(shape) for part in (re, im)), den)
+
+
+def _legs_of(terms: list, dims) -> tuple:
+    """The three Legs of a list of terms of exact vectors."""
+    return tuple(_to_leg([x for term in terms for x in term[leg]], (len(terms), dim))
+                 for leg, dim in enumerate(dims))
+
+
+def _lowest(re: np.ndarray, im: np.ndarray, den: int) -> Leg:
+    """Numerator arrays over den as a Leg in lowest terms."""
+    values = re.ravel().tolist() + im.ravel().tolist()
+    g = math.gcd(den, *values)
+    if g > 1:
+        values = [x // g for x in values]
+    dtype = _int_dtype(max(map(abs, values), default=0))
+    parts = np.array(values, dtype=dtype).reshape((2,) + re.shape)
+    return Leg(parts[0], parts[1], den // g)
+
+
+def _max_abs(leg: Leg) -> int:
+    return max((int(abs(part).max()) for part in (leg.re, leg.im) if part.size), default=0)
+
+
+class ArrayTerms(Sequence):
+    """r product terms stored as three Legs, one per tensor leg.
+
+    A Term of Scalars is built on access, so the sequence behaves as the
+    tuple of its Terms (length, indexing, slices as tuples, equality by
+    value) while holding only integer arrays.
+    """
+
+    __slots__ = ("legs",)
+
+    def __init__(self, legs):
+        self.legs = tuple(legs)
+        for leg in self.legs:
+            leg.re.flags.writeable = leg.im.flags.writeable = False
+
+    def __len__(self):
+        return len(self.legs[0].re)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        r = len(self)
+        k = operator.index(k)
+        if k < 0:
+            k += r
+        if not 0 <= k < r:
+            raise IndexError(k)
+        return Term(*(tuple(map(from_gaussian, leg.re[k].tolist(), leg.im[k].tolist(),
+                                itertools.repeat(leg.den)))
+                      for leg in self.legs))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+def leg_arrays(d: ProductDecomposition) -> tuple:
+    """d's three Legs: stored for ArrayTerms, converted from the terms'
+    vectors for any other sequence."""
+    if isinstance(d.terms, ArrayTerms):
+        return d.terms.legs
+    return _legs_of(list(d.terms), d.dims)
+
+
+def term_values(d: ProductDecomposition, convert) -> tuple:
+    """d's legs as lists of r rows of convert(re, im, den), called once per
+    distinct value of d (numerator pair and leg denominator)."""
+    memo = {}
+    legs = []
+    for leg in leg_arrays(d):
+        r, dim = leg.re.shape
+        keys = list(zip(leg.re.ravel().tolist(), leg.im.ravel().tolist(),
+                        itertools.repeat(leg.den)))
+        for key in dict.fromkeys(keys):
+            if key not in memo:
+                memo[key] = convert(*key)
+        values = list(map(memo.__getitem__, keys))
+        legs.append([values[k * dim:(k + 1) * dim] for k in range(r)])
+    return tuple(legs)
+
+
 def make_decomposition(dims, terms) -> ProductDecomposition:
     """Validated constructor: dims must be positive, vector lengths must
-    match them and no term may contain an all-zero vector."""
+    match them and no term may contain an all-zero vector.  The terms are
+    stored as ArrayTerms; no given value object is kept."""
     da, db, dc = dims
     if min(da, db, dc) < 1:
         raise InputError(f"dimensions must be positive, got {tuple(dims)}")
-    built = []
+    terms = [[tuple(v) for v in term] for term in terms]
     for k, term in enumerate(terms):
-        a, b, c = (linalg.vector(v) for v in term)
-        if (len(a), len(b), len(c)) != (da, db, dc):
-            raise InputError(f"term {k} has vector lengths "
-                             f"{(len(a), len(b), len(c))}, expected {tuple(dims)}")
-        if not (any(a) and any(b) and any(c)):
-            raise InputError(f"term {k} contains an all-zero vector")
-        built.append(Term(a, b, c))
-    return ProductDecomposition((da, db, dc), tuple(built))
+        lengths = tuple(map(len, term))
+        if lengths != (da, db, dc):
+            raise InputError(f"term {k} has vector lengths {lengths}, expected {tuple(dims)}")
+    legs = _legs_of(terms, (da, db, dc))
+    zero = np.zeros(len(terms), dtype=bool)
+    for leg in legs:
+        zero |= ~((leg.re != 0) | (leg.im != 0)).any(axis=1)
+    if zero.any():
+        raise InputError(f"term {int(np.argmax(zero))} contains an all-zero vector")
+    return ProductDecomposition((da, db, dc), ArrayTerms(legs))
 
 
 class KroneckerPowerTerms(Sequence):
@@ -152,28 +274,20 @@ def _dense_numerators(d: ProductDecomposition):
     """The dense reconstruction of d as Gaussian integers: a flat row-major
     (re, im) pair of numpy arrays over one common denominator.
 
-    Each leg's r x d coefficient matrix becomes integer numerators over its
-    own common denominator; the a (x) b outer products, an (r, dA*dB) pair,
-    meet c in four matmuls.  Every partial sum is bounded by
+    Each leg's r x d coefficient matrix is its Leg of integer numerators
+    over its own common denominator; the a (x) b outer products, an
+    (r, dA*dB) pair, meet c in four matmuls.  Every partial sum is bounded by
     4 r max|a| max|b| max|c| (max over real and imaginary numerators), so
     the arrays are int64 when that bound is below 2^62 and hold Python ints
     (dtype object) otherwise; either way the result is exact.
     """
     da, db, dc = dense_dims(d.dims)
-    terms = list(d.terms)
-    r = len(terms)
-    # each distinct Scalar object of a leg becomes numerators once; the
-    # leg's arrays gather them by position
-    legs = []
-    for leg in range(3):
-        distinct, index = distinct_objects(x for term in terms for x in term[leg])
-        legs.append((*gaussian_integers(distinct), index))
+    legs = leg_arrays(d)
+    r = len(legs[0].re)
     # a leg of zeros counts as 1, so every numerator also lies below the bound
-    bound = 4 * r * math.prod(max(map(abs, re + im), default=0) or 1 for re, im, _, _ in legs)
-    dtype = np.int64 if bound < 1 << 62 else object
-    (ar, ai), (br, bi), (cr, ci) = (
-        tuple(np.array(part, dtype=dtype)[index].reshape(r, dim) for part in (re, im))
-        for (re, im, _, index), dim in zip(legs, d.dims))
+    dtype = _int_dtype(4 * r * math.prod(_max_abs(leg) or 1 for leg in legs))
+    (ar, ai), (br, bi), (cr, ci) = ((leg.re.astype(dtype), leg.im.astype(dtype))
+                                    for leg in legs)
     out_re = np.zeros((da * db, dc), dtype=dtype)
     out_im = np.zeros((da * db, dc), dtype=dtype)
     step = max(1, _CHUNK_SCALARS // (da * db))
@@ -185,7 +299,7 @@ def _dense_numerators(d: ProductDecomposition):
         ab_im = (a_re * b_im + a_im * b_re).reshape(-1, da * db).T
         out_re += ab_re @ cr[k] - ab_im @ ci[k]
         out_im += ab_re @ ci[k] + ab_im @ cr[k]
-    return out_re.ravel(), out_im.ravel(), math.prod(den for _, _, den, _ in legs)
+    return out_re.ravel(), out_im.ravel(), math.prod(leg.den for leg in legs)
 
 
 def reconstruct(d: ProductDecomposition) -> Tensor3:
@@ -194,7 +308,7 @@ def reconstruct(d: ProductDecomposition) -> Tensor3:
     nonzero = np.flatnonzero((re != 0) | (im != 0))
     entries = [ZERO] * len(re)
     for flat, x, y in zip(nonzero.tolist(), re[nonzero].tolist(), im[nonzero].tolist()):
-        entries[flat] = Scalar(Fraction(x, den), Fraction(y, den))
+        entries[flat] = from_gaussian(x, y, den)
     return Tensor3(d.dims, entries)
 
 
@@ -246,7 +360,7 @@ def require_witness(t: Tensor3, d: ProductDecomposition) -> ProductDecomposition
     """Return d after verifying it against t; raise WitnessMismatch when
     the dims differ or the check fails.
 
-    A decomposition with a tuple or lazy-power term list remembers the
+    A decomposition with a tuple, array or lazy-power term list remembers the
     tensor object it last passed against, and the same pair (by identity;
     both are immutable) is not verified again.  Any other tensor, equal or
     not, is verified in full.
@@ -258,7 +372,7 @@ def require_witness(t: Tensor3, d: ProductDecomposition) -> ProductDecomposition
         raise WitnessMismatch(f"witness does not reconstruct the target "
                               f"(first mismatch at {result.first_mismatch})",
                               result.first_mismatch)
-    if isinstance(d.terms, (tuple, KroneckerPowerTerms)):
+    if isinstance(d.terms, (tuple, ArrayTerms, KroneckerPowerTerms)):
         object.__setattr__(d, "_verified_target", t)
     return d
 
@@ -295,15 +409,17 @@ def transport(ops: LocalOperatorTriple, d: ProductDecomposition) -> ProductDecom
             "refusing to transport a decomposition with more than "
             f"{DENSE_VERIFY_LIMIT} terms; transport the base and take the power instead"
         )
-    new_terms = tuple(
-        Term(
-            linalg.mat_vec(ops.A, term.a),
-            linalg.mat_vec(ops.B, term.b),
-            linalg.mat_vec(ops.C, term.c),
-        )
-        for term in d.terms
-    )
-    return ProductDecomposition(ops.output_dims(), new_terms)
+    legs = (_apply(m, leg) for m, leg in zip((ops.A, ops.B, ops.C), leg_arrays(d)))
+    return ProductDecomposition(ops.output_dims(), ArrayTerms(legs))
+
+
+def _apply(m, leg: Leg) -> Leg:
+    """Every vector of `leg` mapped by the exact matrix m, in integers."""
+    rows, cols = linalg.shape(m)
+    op = _to_leg([x for row in m for x in row], (rows, cols))
+    dtype = _int_dtype(2 * cols * _max_abs(op) * _max_abs(leg))
+    xr, xi, mr, mi = (part.astype(dtype) for part in (leg.re, leg.im, op.re.T, op.im.T))
+    return _lowest(xr @ mr - xi @ mi, xr @ mi + xi @ mr, leg.den * op.den)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +525,9 @@ def fiduccia8_w2_decomposition() -> ProductDecomposition:
 def ghz_decomposition(n: int) -> ProductDecomposition:
     if n < 1:
         raise InputError("GHZ level count must be positive")
-    e = linalg.identity(n)
-    return ProductDecomposition((n, n, n), tuple(Term(e[i], e[i], e[i]) for i in range(n)))
+    unit = np.eye(n, dtype=np.int64)
+    leg = Leg(unit, np.zeros_like(unit), 1)
+    return ProductDecomposition((n, n, n), ArrayTerms((leg, leg, leg)))
 
 
 def w_rank3_decomposition() -> ProductDecomposition:
@@ -471,10 +588,27 @@ def decomposition_power(d: ProductDecomposition, n: int) -> ProductDecomposition
     if total > limit:
         raise ResourceError(f"{r}^{n} = {total} terms exceeds the term cap {limit}")
     dims = tuple(dim ** n for dim in d.dims)
-    lazy = KroneckerPowerTerms(d.terms, n)
     if total * sum(dims) <= _MATERIALIZE_SCALARS:
-        return ProductDecomposition(dims, tuple(lazy))
-    return ProductDecomposition(dims, lazy)
+        return ProductDecomposition(dims, ArrayTerms(_kron_power(leg, n) for leg in leg_arrays(d)))
+    return ProductDecomposition(dims, KroneckerPowerTerms(d.terms, n))
+
+
+def _kron_power(leg: Leg, n: int) -> Leg:
+    """The n-fold Kronecker power of a leg: row j is the Kronecker product
+    of the base rows named by j's base-r digits, first copy most
+    significant, as KroneckerPowerTerms builds it."""
+    # each copy at most doubles the largest part times max|leg|
+    dtype = _int_dtype(2 ** (n - 1) * _max_abs(leg) ** n)
+    base_re, base_im = leg.re.astype(dtype), leg.im.astype(dtype)
+
+    def kron(x, y):
+        return (x[:, None, :, None] * y[None, :, None, :]).reshape(
+            len(x) * len(y), x.shape[1] * y.shape[1])
+
+    re, im = base_re, base_im
+    for _ in range(n - 1):
+        re, im = kron(re, base_re) - kron(im, base_im), kron(re, base_im) + kron(im, base_re)
+    return _lowest(re, im, leg.den ** n)
 
 
 def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
@@ -579,7 +713,7 @@ def rank_leq2_test_2x2x2(t: Tensor3) -> Rank222:
     """
     if t.dims != (2, 2, 2):
         raise InputError(f"rank test needs dims (2, 2, 2), got {t.dims}")
-    if min(flattening_rank(t, leg) for leg in LEGS) < 2:
+    if min(flattening_ranks(t).values()) < 2:
         return Rank222.DEGENERATE
     return Rank222.RANK_LEQ2 if hyperdeterminant_2x2x2(t) else Rank222.RANK_GEQ3
 
@@ -648,15 +782,18 @@ def builtin_witness(target: Tensor3, name: str) -> ProductDecomposition | None:
 class RankBounds:
     """Everything the package knows about rank(target) without a caller's
     witness: the flattening ranks (leg -> rank), the registered fact
-    (name, RankFact) or None, and the packaged witness or None."""
+    (name, RankFact) or None, the 2x2x2 rank test's verdict (None for other
+    dims) and the packaged witness or None."""
 
     target: Tensor3
     flattening_ranks: dict
     fact: tuple[str, RankFact] | None
+    rank222: Rank222 | None
 
     @property
     def lower(self) -> int:
-        return max(*self.flattening_ranks.values(), self.fact[1].rank if self.fact else 0)
+        return max(*self.flattening_ranks.values(), self.fact[1].rank if self.fact else 0,
+                   3 if self.rank222 is Rank222.RANK_GEQ3 else 0)
 
     @cached_property
     def witness(self) -> ProductDecomposition | None:
@@ -671,10 +808,10 @@ class RankBounds:
 
 def rank_bounds(t: Tensor3) -> RankBounds:
     """The lower and upper rank bounds of t from flattenings, the
-    RankFacts registry and the packaged witnesses; the one place these
-    sources are combined."""
-    return RankBounds(t, {leg: flattening_rank(t, leg) for leg in LEGS},
-                      DEFAULT_RANK_FACTS.lookup(t))
+    RankFacts registry, the 2x2x2 rank test and the packaged witnesses; the
+    one place these sources are combined."""
+    return RankBounds(t, flattening_ranks(t), DEFAULT_RANK_FACTS.lookup(t),
+                      rank_leq2_test_2x2x2(t) if t.dims == (2, 2, 2) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -749,19 +886,11 @@ def rationalize_result(t: Tensor3, result: AlsResult,
 
 
 def decomposition_to_json(d: ProductDecomposition) -> dict:
-    """Each distinct Scalar object is encoded once; its JSON value (a string,
-    or one shared {"re", "im"} dict) stands wherever the object does."""
-    terms = list(d.terms)
-    distinct, index = distinct_objects(x for term in terms for vector in term for x in vector)
-    encoded = [scalar_to_json(x) for x in distinct]
-    values = iter(index)
-    return {
-        "dims": list(d.dims),
-        "terms": [
-            {leg: [encoded[next(values)] for _ in vector] for leg, vector in zip("abc", term)}
-            for term in terms
-        ],
-    }
+    """Each distinct value is encoded once; its JSON value (a string, or one
+    shared {"re", "im"} dict) stands wherever the value does."""
+    legs = term_values(d, gaussian_to_json)
+    return {"dims": list(d.dims),
+            "terms": [dict(zip("abc", vectors)) for vectors in zip(*legs)]}
 
 
 def decomposition_from_json(obj: dict) -> ProductDecomposition:

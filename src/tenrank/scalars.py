@@ -156,6 +156,11 @@ def gaussian_integers(values) -> tuple[list, list, int]:
             [v.im.numerator * (den // v.im.denominator) for v in values], den)
 
 
+def from_gaussian(re: int, im: int, den: int) -> Scalar:
+    """The Scalar (re + im i) / den: one value of `gaussian_integers`."""
+    return Scalar(Fraction(re, den), Fraction(im, den))
+
+
 def distinct_objects(values) -> tuple[list, list]:
     """(distinct, index): the distinct objects among values, told apart by
     identity and listed in first-seen order, and for each value its
@@ -180,6 +185,16 @@ def scalar_to_json(value: Scalar):
     if not value.im:
         return format_rational(value.re)
     return {"re": format_rational(value.re), "im": format_rational(value.im)}
+
+
+def gaussian_to_json(re: int, im: int, den: int):
+    """scalar_to_json(from_gaussian(re, im, den)) for den > 0, formatted
+    from the integers without building the Scalar."""
+    def text(n):
+        g = math.gcd(n, den)
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+    return text(re) if not im else {"re": text(re), "im": text(im)}
 
 
 def scalar_from_json(obj, memo: dict | None = None) -> Scalar:

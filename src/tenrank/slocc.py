@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,11 @@ from .decomp import (
     rationalize_result,
     reconstruct,
     require_witness,
+    term_values,
 )
 from .errors import InputError, ResourceError
-from .scalars import ZERO, distinct_objects
-from .tensors import LocalOperatorTriple, Tensor3, dense_dims, flattening_rank
+from .scalars import ZERO, from_gaussian
+from .tensors import LocalOperatorTriple, Tensor3, dense_dims, flattening_rank, flattening_ranks
 
 #: dense protocol operators are only assembled up to this GHZ level
 PROTOCOL_DIM_CAP = 1 << 14
@@ -46,14 +48,14 @@ class SloccProtocol:
 
     `ops` are complex float matrices with largest singular value 1, so
     each party can complete its operator M to the two-outcome measurement
-    {M, sqrt(I - M^dag M)}.  `exact_ops` keeps the unscaled exact
-    operators: applying those to the level-N GHZ state reproduces the
-    target exactly, which is what certifies the success probability is
-    nonzero before any floats enter.
+    {M, sqrt(I - M^dag M)}.  `exact_ops`, built from the verified `witness`
+    on first use, are the unscaled exact operators: applying those to the
+    level-N GHZ state reproduces the target exactly, which is what
+    certifies the success probability is nonzero before any floats enter.
     """
 
     ops: tuple            # three complex128 ndarrays, scaled
-    exact_ops: LocalOperatorTriple
+    witness: ProductDecomposition
     scales: tuple         # the three largest singular values divided out
     source_dim: int
     success_probability: float
@@ -61,6 +63,15 @@ class SloccProtocol:
 
     def input_dims(self) -> tuple:
         return (self.source_dim,) * 3
+
+    @cached_property
+    def exact_ops(self) -> LocalOperatorTriple:
+        """Leg A sends GHZ basis vector i to the witness's i-th a-vector for
+        i < r and to zero for r <= i < n (likewise B and C), with one Scalar
+        per distinct witness value."""
+        return LocalOperatorTriple(*(
+            _operator_from_vectors(vectors, dim, self.source_dim)
+            for vectors, dim in zip(term_values(self.witness, from_gaussian), self.witness.dims)))
 
 
 def _operator_from_vectors(vectors, dim_out: int, n: int) -> tuple:
@@ -72,12 +83,11 @@ def build_protocol(d: ProductDecomposition, n: int,
                    target: Tensor3 | None = None) -> SloccProtocol:
     """Assemble the GHZ(n) -> target protocol from an r-term witness.
 
-    The exact operator for leg A sends GHZ basis vector i to the witness's
-    i-th a-vector for i < r and to zero for r <= i < n (likewise B and C),
-    so the unscaled triple maps GHZ(n) to the target exactly.  Operators
-    are then scaled by their largest singular values for the measurement
-    form; the reported success probability refers to the all-parties-
-    succeed branch on the GHZ(n) source.
+    The exact operators (`SloccProtocol.exact_ops`) map GHZ(n) to the
+    target exactly; the float operators are the same matrices, with one
+    complex per distinct witness value, scaled by their largest singular
+    values for the measurement form.  The reported success probability
+    refers to the all-parties-succeed branch on the GHZ(n) source.
     """
     r = len(d.terms)
     if n < r:
@@ -92,19 +102,16 @@ def build_protocol(d: ProductDecomposition, n: int,
     if target.is_zero():
         raise InputError("witness reconstructs the zero tensor; no protocol exists")
 
-    legs = [[term[leg] for term in d.terms] for leg in range(3)]
-    exact_ops = LocalOperatorTriple(*(_operator_from_vectors(vectors, dim, n)
-                                      for vectors, dim in zip(legs, d.dims)))
     float_ops = []
     scales = []
     try:
+        # re / den in Python ints is the correctly rounded float(Fraction),
+        # so each value is the complex() of its Scalar
+        legs = term_values(d, lambda re, im, den: complex(re / den, im / den))
         for vectors, dim in zip(legs, d.dims):
-            # each distinct Scalar object becomes a complex once; the ZERO
-            # padding columns stay the zeros the array starts with
-            distinct, index = distinct_objects(x for vector in vectors for x in vector)
-            values = np.array([complex(x) for x in distinct], dtype=np.complex128)
+            # the padding columns stay the zeros the array starts with
             arr = np.zeros((dim, n), dtype=np.complex128)
-            arr[:, :r] = values[index].reshape(r, dim).T
+            arr[:, :r] = np.array(vectors, dtype=np.complex128).reshape(r, dim).T
             sigma = float(np.linalg.svd(arr, compute_uv=False)[0])
             float_ops.append(arr / sigma)
             scales.append(sigma)
@@ -118,7 +125,7 @@ def build_protocol(d: ProductDecomposition, n: int,
     probability = norm_sq_target / scale_sq / n
     return SloccProtocol(
         ops=tuple(float_ops),
-        exact_ops=exact_ops,
+        witness=d,
         scales=tuple(scales),
         source_dim=n,
         success_probability=probability,
@@ -210,7 +217,8 @@ def decide_ghz_conversion(target: Tensor3, n: int,
 
     Yes requires an exact witness with at most n terms (caller-provided,
     builtin, or found numerically and rationalized); No requires a lower
-    bound above n from flattening ranks or the registered exact ranks.
+    bound above n from flattening ranks, the registered exact ranks or the
+    2x2x2 rank test.
     Anything else is Unknown with both bounds reported.  A caller witness
     that does not reconstruct the target raises WitnessMismatch.  A caller
     witness with at most n terms decides before any rank bound is computed.
@@ -232,13 +240,14 @@ def decide_ghz_conversion(target: Tensor3, n: int,
                               lower_bound=flattening, upper_bound=upper)
     if lower > n:
         # above the flattening ranks, the lower bound is a registered fact
-        name, fact = bounds.fact
-        return ConvertVerdict(
-            "no",
-            reason=f"registered exact rank of {name} is {fact.rank} > {n} ({fact.note})",
-            lower_bound=lower,
-            upper_bound=upper,
-        )
+        # or, for a 2x2x2 target, the rank test's rank >= 3
+        if bounds.fact is not None and bounds.fact[1].rank == lower:
+            name, fact = bounds.fact
+            reason = f"registered exact rank of {name} is {fact.rank} > {n} ({fact.note})"
+        else:
+            reason = (f"2x2x2 rank test: rank >= 3 > {n} (every flattening rank 2, "
+                      f"hyperdeterminant zero: W class)")
+        return ConvertVerdict("no", reason=reason, lower_bound=lower, upper_bound=upper)
     if bounds.upper is not None and bounds.upper <= n:
         return ConvertVerdict("yes", witness=bounds.witness,
                               upper_bound=bounds.upper, lower_bound=lower)
@@ -289,7 +298,7 @@ def classify_three_qubit(t: Tensor3) -> ThreeQubitClass:
         raise InputError(f"classification needs dims (2, 2, 2), got {t.dims}")
     if t.is_zero():
         return ThreeQubitClass.ZERO
-    ranks = {leg: flattening_rank(t, leg) for leg in ("A", "B", "C")}
+    ranks = flattening_ranks(t)
     low = [leg for leg, r in ranks.items() if r == 1]
     if len(low) == 3:
         return ThreeQubitClass.PRODUCT

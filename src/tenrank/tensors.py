@@ -216,17 +216,82 @@ def flattening(t: Tensor3, leg: str) -> tuple:
                  for base in range(0, dims[axis] * strides[axis], strides[axis]))
 
 
+#: the prime of the modular flattening rank: p = 1 (mod 4), so -1 has the
+#: square root SQRT_MINUS_ONE mod p, and p < 2^31, so the product of two
+#: residues is exact in int64
+PRIME = 2147483629
+SQRT_MINUS_ONE = 1518275076
+
+
+def _residues(t: Tensor3) -> np.ndarray:
+    """t's Gaussian-integer numerators over their common denominator sent
+    to F_p by i -> SQRT_MINUS_ONE, as an int64 array of shape t.dims.  Each
+    distinct entry object is reduced once."""
+    support = list(t.support)
+    distinct, index = distinct_objects(t.entries[flat] for flat in support)
+    re, im, _ = gaussian_integers(distinct)
+    values = np.array([(x + SQRT_MINUS_ONE * y) % PRIME for x, y in zip(re, im)],
+                      dtype=np.int64)
+    out = np.zeros(len(t.entries), dtype=np.int64)
+    out[support] = values[index]
+    return out.reshape(t.dims)
+
+
+def _rank_mod_p(m: np.ndarray) -> int:
+    """Rank over F_p of an int64 matrix of residues, by row echelon
+    elimination; m is overwritten."""
+    rows, cols = m.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        nonzero = np.flatnonzero(m[rank:, c])
+        if not nonzero.size:
+            continue
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        row = m[rank, c:] * pow(int(m[rank, c]), -1, PRIME) % PRIME
+        below = m[rank + 1:, c:]
+        below -= below[:, :1] * row % PRIME
+        below %= PRIME
+        rank += 1
+    return rank
+
+
+def _leg_rank(t: Tensor3, residues: np.ndarray, leg: str) -> int:
+    axis = LEGS.index(leg)
+    m = np.moveaxis(residues, axis, 0).reshape(t.dims[axis], -1)
+    # columns along the shorter side: a rank-deficient matrix scans every column
+    rank = _rank_mod_p(m.T.copy() if m.shape[1] > m.shape[0] else m.copy())
+    if rank == min(m.shape):
+        return rank
+    return linalg.rank(flattening(t, leg))
+
+
 def flattening_rank(t: Tensor3, leg: str) -> int:
     """Exact rank of the flattening along `leg`.
 
     Equals the rank of that subsystem's reduced density operator and is a
-    lower bound for tensor rank.  The zero tensor has rank 0.
+    lower bound for tensor rank.  The zero tensor has rank 0.  The
+    flattening is ranked modulo PRIME first: reduction mod p can only lower
+    a rank, so a result equal to min(rows, cols) is exact, and any other
+    result is recomputed by exact elimination (`linalg.rank`).
     """
-    return linalg.rank(flattening(t, leg))
+    if leg not in LEGS:
+        raise InputError(f"unknown leg {leg!r}, expected one of {LEGS}")
+    return _leg_rank(t, _residues(t), leg)
+
+
+def flattening_ranks(t: Tensor3) -> dict:
+    """{leg: flattening_rank(t, leg)} for the three legs, from one reading
+    of t's entries."""
+    residues = _residues(t)
+    return {leg: _leg_rank(t, residues, leg) for leg in LEGS}
 
 
 def max_flattening_rank(t: Tensor3) -> int:
-    return max(flattening_rank(t, leg) for leg in LEGS)
+    return max(flattening_ranks(t).values())
 
 
 def support_basis(t: Tensor3) -> list:

@@ -13,6 +13,7 @@ import tenrank
 from tenrank.als import AlsConfig
 from tenrank.cli import main
 from tenrank.decomp import (
+    ArrayTerms,
     ProductDecomposition,
     als_search,
     builtin_decomposition,
@@ -24,6 +25,7 @@ from tenrank.decomp import (
     float_decomposition_to_json,
     ghz_decomposition,
 )
+from tenrank.scalars import MINUS_ONE, ONE, ZERO
 from tenrank.slocc import build_protocol, protocol_to_json
 from tenrank.tensors import tensor_from_json, tensor_product, tensor_to_json
 
@@ -288,7 +290,7 @@ def _ghz64_style_files(tmp_path):
 
 def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatch):
     # no dense GHZ(64) tensor is built, and the numerator and JSON encoders
-    # see each distinct Scalar object of the loaded inputs at most once
+    # see each distinct value of the loaded inputs at most once
     from tenrank import cli, decomp, scalars, tensors
 
     tensor_file, witness_file = _ghz64_style_files(tmp_path)
@@ -303,9 +305,9 @@ def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatc
         numerator_calls.append(list(values))
         return scalars.gaussian_integers(numerator_calls[-1])
 
-    def encode(x):
-        encoded.append(x)
-        return scalars.scalar_to_json(x)
+    def encode(re, im, den):
+        encoded.append(scalars.from_gaussian(re, im, den))
+        return scalars.gaussian_to_json(re, im, den)
 
     def loading(original):
         return lambda payload: loaded.append(original(payload)) or loaded[-1]
@@ -313,7 +315,7 @@ def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatc
     monkeypatch.setattr(tensors.Tensor3, "__init__", init)
     monkeypatch.setattr(decomp, "gaussian_integers", numerators)
     monkeypatch.setattr(tensors, "gaussian_integers", numerators)
-    monkeypatch.setattr(decomp, "scalar_to_json", encode)
+    monkeypatch.setattr(decomp, "gaussian_to_json", encode)
     monkeypatch.setattr(cli, "tensor_from_json", loading(cli.tensor_from_json))
     monkeypatch.setattr(cli, "decomposition_from_json", loading(cli.decomposition_from_json))
     code, out, _ = run(capsys, "--json", "convert", tensor_file, "--ghz", "64",
@@ -326,16 +328,41 @@ def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatc
     assert sizes and max(sizes) < 64 ** 3
 
     target, witness = loaded
-    witness_objects = {id(x) for term in witness.terms for vector in term for x in vector}
     target_objects = {id(target.entries[flat]) for flat in target.support}
-    # the JSON decode shares one object per distinct string: "0", "1", "-1"
-    assert len(witness_objects) == 3 and len(target_objects) == 1
+    # the JSON decode shares one object per distinct string, and the witness
+    # keeps its three distinct values "0", "1", "-1" as integer numerators
+    assert len(target_objects) == 1 and isinstance(witness.terms, ArrayTerms)
+    assert {(x, y, leg.den) for leg in witness.terms.legs
+            for x, y in zip(leg.re.ravel().tolist(), leg.im.ravel().tolist())} \
+        == {(0, 0, 1), (1, 0, 1), (-1, 0, 1)}
+    loaded_values = {ZERO, ONE, MINUS_ONE}
     assert numerator_calls
     for values in numerator_calls:
-        ids = [id(x) for x in values]
-        assert len(set(ids)) == len(ids) and set(ids) <= witness_objects | target_objects
-    ids = [id(x) for x in encoded]
-    assert len(set(ids)) == len(ids) and set(ids) <= witness_objects
+        assert len(set(values)) == len(values) and set(values) <= loaded_values
+    assert len(set(encoded)) == len(encoded) and set(encoded) <= loaded_values
+
+
+def test_w_class_file_has_rank_lower_bound_3_and_converts_to_no(capsys, tmp_path):
+    # an image of W that is not W itself: no registered fact matches, and
+    # the 2x2x2 rank test gives the lower bound 3
+    from tenrank import sampling
+    from tenrank.tensors import LocalOperatorTriple, apply_local_operators
+
+    rng = random.Random(93)
+    ops = LocalOperatorTriple(*(sampling.invertible_matrix(rng, 2, complex_parts=True,
+                                                           max_num=3, max_den=3)
+                                for _ in range(3)))
+    path = tmp_path / "w-class.json"
+    path.write_text(json.dumps(tensor_to_json(apply_local_operators(ops, builtin_state("W")))))
+    code, out, _ = run(capsys, "--json", "rank", str(path))
+    assert code == 0
+    assert json.loads(out) == {"flattening_ranks": {"A": 2, "B": 2, "C": 2}, "lower": 3}
+    code, out, _ = run(capsys, "rank", str(path))
+    assert code == 0 and out.splitlines()[-1] == "lower=3"
+    code, out, _ = run(capsys, "convert", str(path), "--ghz", "2")
+    verdict = json.loads(out)
+    assert code == 4 and (verdict["verdict"], verdict["lower_bound"]) == ("no", 3)
+    assert verdict["reason"].startswith("2x2x2 rank test: rank >= 3 > 2")
 
 
 def test_values_beyond_the_float_range_exit_2(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,16 @@ import pytest
 
 from conftest import oracle_outer_sum
 
-from tenrank import decomp, linalg, sampling
-from tenrank.bilinear import matmul_tensor, naive_matmul_decomposition, phi3_matmul_witness
+from tenrank import decomp, linalg, sampling, scalars
+from tenrank.bilinear import (
+    matmul_tensor,
+    naive_matmul_decomposition,
+    phi3_matmul_witness,
+    to_bilinear,
+)
 from tenrank.decomp import (
     DEFAULT_RANK_FACTS,
+    ArrayTerms,
     KroneckerPowerTerms,
     ProductDecomposition,
     Rank222,
@@ -411,6 +418,120 @@ def test_make_decomposition_validation():
         make_decomposition((2, 2, 2), [((1, 0, 0), (1, 0), (1, 0))])
 
 
+# -- array-backed decompositions -------------------------------------------------
+
+
+def per_scalar_terms(terms):
+    """The Terms of the given vectors as Scalars, as a plain tuple."""
+    return tuple(Term(*(linalg.vector(v) for v in term)) for term in terms)
+
+
+def test_array_terms_read_as_the_tuple_of_their_terms():
+    rng = random.Random(81)
+    dims = (3, 2, 4)
+    terms = [tuple(sampling.nonzero_vector(rng, n, complex_parts=True, max_num=9, max_den=6)
+                   for n in dims) for _ in range(5)]
+    d = make_decomposition(dims, terms)
+    expected = per_scalar_terms(terms)
+    assert isinstance(d.terms, ArrayTerms) and len(d.terms) == d.rank == 5
+    assert d.terms == expected and expected == d.terms and hash(d.terms) == hash(expected)
+    assert d == ProductDecomposition(dims, expected) and repr(d.terms) == repr(expected)
+    assert list(d.terms) == list(expected) and tuple(d.terms) == expected
+    for k in range(-5, 5):
+        assert d.terms[k] == expected[k]
+    for cut in (slice(1, 3), slice(None, None, -2), slice(4, 1, -1), slice(7, 9)):
+        assert isinstance(d.terms[cut], tuple) and d.terms[cut] == expected[cut]
+    for k in (5, -6):
+        with pytest.raises(IndexError):
+            d.terms[k]
+    assert d.terms != expected[:4] and d.terms != expected[:4] + expected[:1]
+    assert d.terms != 5 and d.terms != make_decomposition(dims, terms[:4]).terms
+    # the stored numerators are read-only, like every other part of the value
+    with pytest.raises(ValueError):
+        d.terms.legs[0].re[0, 0] = 1
+
+
+def test_make_decomposition_keeps_no_caller_scalar():
+    x, y = Scalar(Fraction(7, 3), Fraction(-2, 5)), Scalar(11)
+    before = sys.getrefcount(x), sys.getrefcount(y)
+    d = make_decomposition((2, 1, 1), [((x, y), (x,), (y,)), ((y, x), (y,), (x,))])
+    assert (sys.getrefcount(x), sys.getrefcount(y)) == before
+    assert d.terms == (Term((x, y), (x,), (y,)), Term((y, x), (y,), (x,)))
+
+
+def test_make_decomposition_still_rejects_zero_vectors_and_wrong_lengths():
+    one = ((1, 0), (1, 0), (1, 0))
+    with pytest.raises(InputError, match="term 1 contains an all-zero vector"):
+        make_decomposition((2, 2, 2), [one, ((1, 0), (0, Scalar(0)), (1, 1))])
+    with pytest.raises(InputError, match="term 2 contains an all-zero vector"):
+        make_decomposition((2, 2, 2), [one, one, ((2 ** 70, 0), (1, 1), ("0", ZERO))])
+    with pytest.raises(InputError, match=r"term 1 has vector lengths \(2, 3, 2\)"):
+        make_decomposition((2, 2, 2), [one, ((1, 0), (1, 0, 0), (1, 1))])
+    with pytest.raises(InputError, match="positive"):
+        make_decomposition((0, 2, 2), [])
+
+
+def test_storage_switches_to_python_ints_near_the_int64_limit():
+    # int64 below 2^62, Python ints from there on, past 2^63 too
+    for value, dtype in ((2 ** 62 - 1, np.int64), (-2 ** 62 + 1, np.int64), (2 ** 62, object),
+                         (2 ** 63 - 1, object), (-2 ** 63, object), (2 ** 63 + 1, object)):
+        terms = [((value, Scalar(1, -value)), (1, 2), (3,)),
+                 ((1, 0), (Fraction(1, 3), 1), (Scalar(0, 1),))]
+        d = make_decomposition((2, 2, 1), terms)
+        a, b, c = d.terms.legs
+        assert a.re.dtype == a.im.dtype == dtype and a.den == 1
+        assert b.re.dtype == np.int64 and b.den == 3
+        assert d.terms == per_scalar_terms(terms)
+        target = reference_reconstruct(d)
+        assert reconstruct(d) == target and verify_decomposition(target, d).ok
+        assert decomposition_from_json(json.loads(json.dumps(decomposition_to_json(d)))) == d
+        plain = ProductDecomposition(d.dims, per_scalar_terms(terms))
+        assert to_bilinear(d) == to_bilinear(plain)
+        ops = LocalOperatorTriple(linalg.matrix([[1, Scalar(0, 2)], [0, Fraction(1, 2)]]),
+                                  linalg.matrix([[1, 1]]), linalg.matrix([[2]]))
+        assert transport(ops, d).terms == tuple(
+            Term(*(linalg.mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
+            for term in plain.terms)
+        assert decomposition_power(d, 2).terms == tuple(KroneckerPowerTerms(plain.terms, 2))
+
+
+def test_array_paths_match_the_per_scalar_terms():
+    rng = random.Random(82)
+    for _ in range(12):
+        dims = tuple(rng.randint(1, 3) for _ in range(3))
+        d = random_decomposition(rng, dims, rng.randint(1, 3))
+        ops = LocalOperatorTriple(*(sampling.matrix(rng, rng.randint(1, 3), n, complex_parts=True,
+                                                    max_num=3, max_den=4) for n in dims))
+        moved = transport(ops, d)
+        assert isinstance(moved.terms, ArrayTerms) and moved.terms == tuple(
+            Term(*(linalg.mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
+            for term in d.terms)
+        for n in (1, 2, 3):
+            power = decomposition_power(d, n)
+            assert isinstance(power.terms, ArrayTerms)
+            assert power.terms == tuple(KroneckerPowerTerms(d.terms, n))
+    e = linalg.identity(3)
+    assert ghz_decomposition(3).terms == tuple(Term(e[i], e[i], e[i]) for i in range(3))
+    # every leg is kept over its least common denominator
+    d = make_decomposition((2, 1, 1), [((Fraction(1, 2), Fraction(1, 6)), (1,), (1,))])
+    assert d.terms.legs[0].den == 6
+    six = LocalOperatorTriple(linalg.matrix([[6, 0], [0, 6]]), linalg.matrix([[1]]),
+                              linalg.matrix([[1]]))
+    assert transport(six, d).terms.legs[0].den == 1
+    assert decomposition_power(d, 2).terms.legs[0].den == 36
+
+
+def test_consumers_build_one_value_per_distinct_value(monkeypatch):
+    d = decomposition_power(phi3_witness(), 2)  # 49 terms over 0, 1 and -1
+    encoded = []
+    monkeypatch.setattr(decomp, "gaussian_to_json", lambda re, im, den: encoded.append(
+        scalars.from_gaussian(re, im, den)) or scalars.gaussian_to_json(re, im, den))
+    assert decomposition_from_json(json.loads(json.dumps(decomposition_to_json(d)))) == d
+    assert len(encoded) == len(set(encoded)) == 3
+    program = to_bilinear(d)
+    assert len({id(x) for m in (program.u, program.v, program.w) for row in m for x in row}) == 3
+
+
 def test_zero_tensor_has_rank_zero_by_convention():
     from tenrank.tensors import zero_tensor
 
@@ -690,6 +811,28 @@ def test_rank_bounds_on_a_fixed_corpus():
             assert verify_decomposition(t, bounds.witness).ok
 
 
+def w_class_images(seed, count):
+    """Images of W under random invertible complex local operators."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ops = LocalOperatorTriple(*(sampling.invertible_matrix(rng, 2, complex_parts=True,
+                                                               max_num=3, max_den=3)
+                                    for _ in range(3)))
+        yield ops, apply_local_operators(ops, builtin_state("W"))
+
+
+def test_rank_bounds_raise_the_lower_bound_to_3_on_the_w_class():
+    for ops, image in w_class_images(91, 6):
+        bounds = rank_bounds(image)
+        assert bounds.fact is None and bounds.rank222 is Rank222.RANK_GEQ3
+        assert bounds.flattening_ranks == {"A": 2, "B": 2, "C": 2}
+        assert (bounds.lower, bounds.upper) == (3, None)
+        ghz_class = rank_bounds(apply_local_operators(ops, builtin_state("GHZ", 2)))
+        assert ghz_class.rank222 is Rank222.RANK_LEQ2 and ghz_class.lower == 2
+    assert rank_bounds(make_tensor((2, 2, 2), {(0, 0, 0): 1})).rank222 is Rank222.DEGENERATE
+    assert rank_bounds(builtin_state("PHI3")).rank222 is None
+
+
 # -- JSON ---------------------------------------------------------------------
 
 
@@ -713,7 +856,7 @@ def test_decomposition_json_complex_entries():
     )
 
 
-def test_decomposition_json_repeated_strings_decode_to_equal_values():
+def test_decomposition_json_repeated_strings_decode_to_equal_values(monkeypatch):
     # strings repeat across terms ("1", "0", "-1", the same complex pair);
     # the per-call memo must hand back the value a fresh decode gives
     half = Scalar(Fraction(1, 2), Fraction(-1, 3))
@@ -729,10 +872,20 @@ def test_decomposition_json_repeated_strings_decode_to_equal_values():
         for vector, leg in zip(term, "abc"):
             assert list(vector) == [scalar_from_json(v) for v in item[leg]]
     # within one call a repeated string is decoded once; a second call
-    # decodes on its own, nothing is shared across calls
-    assert loaded.terms[0].a[0] is loaded.terms[1].a[2]
-    again = decomposition_from_json(payload)
-    assert again == d and again.terms[0].a[0] is not loaded.terms[0].a[0]
+    # decodes on its own, nothing is shared across calls (the loaded
+    # decomposition keeps integer arrays, not the decoded Scalars, so the
+    # decodes are counted)
+    decoded = []
+    original = scalars._decode_scalar
+    monkeypatch.setattr(scalars, "_decode_scalar",
+                        lambda obj: decoded.append(obj) or original(obj))
+    forms = {json.dumps(v, sort_keys=True)
+             for item in payload["terms"] for leg in "abc" for v in item[leg]}
+    assert len(forms) == 4
+    for _ in range(2):
+        decoded.clear()
+        assert decomposition_from_json(payload) == d
+        assert len(decoded) == len(forms)
 
 
 def test_decomposition_json_repeated_malformed_string_raises():

@@ -9,6 +9,9 @@ from tenrank.scalars import (
     Scalar,
     as_scalar,
     format_rational,
+    from_gaussian,
+    gaussian_integers,
+    gaussian_to_json,
     parse_rational,
     scalar_from_json,
     scalar_to_json,
@@ -101,6 +104,22 @@ def test_scalar_json_forms():
     assert scalar_from_json("1/2") == Scalar(Fraction(1, 2))
     assert scalar_from_json({"re": "1", "im": "-2"}) == Scalar(1, -2)
     assert scalar_from_json(3) == Scalar(3)
+
+
+def test_gaussian_integer_round_trip_and_json():
+    # from_gaussian inverts gaussian_integers, and gaussian_to_json encodes
+    # its value as scalar_to_json does, without building the Scalar
+    rng = random.Random(12)
+    big = 10 ** 400
+    values = [Scalar(0), Scalar(Fraction(-6, 4)), Scalar(big, -1), Scalar(Fraction(1, big), 7)]
+    values += [Scalar(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                      Fraction(rng.choice((0, rng.randint(-30, 30))), rng.randint(1, 12)))
+               for _ in range(200)]
+    re, im, den = gaussian_integers(values)
+    assert [from_gaussian(x, y, den) for x, y in zip(re, im)] == values
+    for value, x, y in zip(values, re, im):
+        assert gaussian_to_json(x, y, den) == scalar_to_json(value)
+        assert gaussian_to_json(3 * x, 3 * y, 3 * den) == scalar_to_json(value)
 
 
 def test_scalar_json_float_handling():

@@ -239,20 +239,22 @@ def test_decide_with_explicit_witness():
 def test_decide_computes_only_the_bounds_it_needs(monkeypatch):
     # the caller-witness short-circuit precedes every rank bound (on a
     # 16x16x16 target one flattening rank costs more than the whole
-    # request), and a lower bound above n builds no packaged witness
+    # request), the three flattening ranks come from one flattening_ranks
+    # call, and a lower bound above n builds no packaged witness
     calls = []
-    flattening_rank, builtin_witness = tensors.flattening_rank, decomp.builtin_witness
+    flattening_ranks, builtin_witness = tensors.flattening_ranks, decomp.builtin_witness
 
-    def counting_rank(t, leg):
-        calls.append(leg)
-        return flattening_rank(t, leg)
+    def counting_ranks(t):
+        ranks = flattening_ranks(t)
+        calls.extend(ranks)
+        return ranks
 
     def counting_witness(t, name):
         calls.append(name)
         return builtin_witness(t, name)
 
     for module in (tensors, decomp, slocc):
-        monkeypatch.setattr(module, "flattening_rank", counting_rank)
+        monkeypatch.setattr(module, "flattening_ranks", counting_ranks)
     monkeypatch.setattr(decomp, "builtin_witness", counting_witness)
     w2, phi3 = builtin_state("W2"), builtin_state("PHI3")
     verdict = decide_ghz_conversion(w2, 8, witness=builtin_decomposition("FIDUCCIA8_W2"))
@@ -265,6 +267,22 @@ def test_decide_computes_only_the_bounds_it_needs(monkeypatch):
     calls.clear()
     assert decide_ghz_conversion(phi3, 7, search=False).kind == "yes"
     assert sorted(calls) == ["A", "B", "C", "PHI3"]
+
+
+def test_w_class_image_is_no_by_the_2x2x2_rank_test(monkeypatch):
+    # the rank test certifies rank 3 > 2 before any search runs; the exact W
+    # keeps the registered fact as its reason
+    monkeypatch.setattr(slocc, "als_search", lambda *args: pytest.fail("searched"))
+    rng = random.Random(92)
+    for _ in range(4):
+        ops = LocalOperatorTriple(*(sampling.invertible_matrix(rng, 2, complex_parts=True,
+                                                               max_num=3, max_den=3)
+                                    for _ in range(3)))
+        verdict = decide_ghz_conversion(apply_local_operators(ops, builtin_state("W")), 2)
+        assert (verdict.kind, verdict.lower_bound, verdict.upper_bound) == ("no", 3, None)
+        assert verdict.reason.startswith("2x2x2 rank test: rank >= 3 > 2")
+    verdict = decide_ghz_conversion(builtin_state("W"), 2)
+    assert verdict.kind == "no" and verdict.reason.startswith("registered exact rank of W is 3")
 
 
 def test_decide_w_and_ghz_cases():
@@ -375,7 +393,7 @@ def test_classify_representatives():
 def test_classify_inconsistent_flattening_ranks_is_an_explicit_error(monkeypatch):
     import tenrank.slocc as slocc
 
-    monkeypatch.setattr(slocc, "flattening_rank", lambda t, leg: 2 if leg == "C" else 1)
+    monkeypatch.setattr(slocc, "flattening_ranks", lambda t: {"A": 1, "B": 1, "C": 2})
     with pytest.raises(RuntimeError):
         classify_three_qubit(builtin_state("GHZ", 2))
 
@@ -498,7 +516,7 @@ def test_protocol_text_equals_json_dumps_of_the_dict_form():
     ops = [np.random.default_rng(k).standard_normal((3, 5)) * (1 + 1j) for k in range(3)]
     ops[0][0, :3] = [-0.0, complex(0.0, -0.0), complex(np.inf, np.nan)]
     ops[1][1, 1] = complex(-np.inf, 2.5)
-    protocols.append(slocc.SloccProtocol(ops=tuple(ops), exact_ops=None, scales=(1.0,) * 3,
+    protocols.append(slocc.SloccProtocol(ops=tuple(ops), witness=None, scales=(1.0,) * 3,
                                          source_dim=5, success_probability=float("nan"),
                                          target=None))
     for protocol in protocols:

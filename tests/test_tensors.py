@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from conftest import oracle_outer_sum, oracle_rank
 
-from tenrank import linalg, sampling
+from tenrank import linalg, sampling, tensors
 from tenrank.decomp import builtin_state
 from tenrank.errors import InputError, ResourceError
 from tenrank.scalars import ZERO, Scalar
@@ -18,6 +19,7 @@ from tenrank.tensors import (
     contract,
     flattening,
     flattening_rank,
+    flattening_ranks,
     identity_triple,
     make_tensor,
     support_basis,
@@ -250,6 +252,97 @@ def test_flattening_rank_multiplicative_under_products():
             expected = flattening_rank(t1, leg) * flattening_rank(t2, leg)
             assert flattening_rank(p, leg) == expected
             assert oracle_rank(flattening(p, leg)) == expected
+
+
+# -- flattening ranks modulo a prime ------------------------------------------
+
+
+def test_modular_rank_constants():
+    p, s = tensors.PRIME, tensors.SQRT_MINUS_ONE
+    assert sympy.isprime(p) and p % 4 == 1 and (s * s + 1) % p == 0
+    # a product of two residues is exact in int64
+    assert p < 2 ** 31 and (p - 1) ** 2 < 2 ** 63
+
+
+def sum_of_products(rng, dims, r, scale=1):
+    """A Gaussian-rational tensor of rank at most r: r random product terms
+    times `scale`."""
+    entries = {}
+    for _ in range(r):
+        a, b, c = (sampling.nonzero_vector(rng, d, complex_parts=True, max_num=4, max_den=3)
+                   for d in dims)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                for k, z in enumerate(c):
+                    entries[(i, j, k)] = entries.get((i, j, k), ZERO) + x * y * z * scale
+    return make_tensor(dims, entries)
+
+
+def counted_exact_ranks(monkeypatch):
+    calls = []
+    original = tensors.linalg.rank
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(tensors.linalg, "rank", counting)
+    return calls
+
+
+def test_modular_rank_agrees_with_exact_rank(monkeypatch):
+    rng = random.Random(41)
+    big = 10 ** 400
+    cases = []
+    for _ in range(12):
+        dims = tuple(rng.randint(1, 4) for _ in range(3))
+        cases.append(sum_of_products(rng, dims, 4 * max(dims)))          # full rank
+        cases.append(sum_of_products(rng, dims, rng.randint(1, 2)))      # rank-deficient
+        cases.append(sum_of_products(rng, dims, rng.randint(1, 3), big + rng.randint(1, 9)))
+        full = sum_of_products(rng, (3, 3, 3), 9)
+        rows = {index: value for index, value in full.nonzeros() if index[0] != 1}
+        cases.append(make_tensor((3, 3, 3), rows))                        # a zero row
+    cases.append(make_tensor((2, 2, 2), {(0, 0, 0): Fraction(big, 3), (1, 1, 1): 1}))
+    cases.append(zero_tensor((2, 3, 2)))
+    expected = [{leg: linalg.rank(flattening(t, leg)) for leg in "ABC"} for t in cases]
+    calls = counted_exact_ranks(monkeypatch)
+    for t, ranks in zip(cases, expected):
+        assert flattening_ranks(t) == ranks
+        assert {leg: flattening_rank(t, leg) for leg in "ABC"} == ranks
+    # both the modular result and the exact fallback were taken, the same
+    # legs by either function
+    assert len(calls) % 2 == 0 and 0 < len(calls) // 2 < 3 * len(cases)
+
+
+def test_full_rank_flattenings_need_no_exact_elimination(monkeypatch):
+    calls = counted_exact_ranks(monkeypatch)
+    assert flattening_ranks(builtin_state("PHI3")) == {"A": 4, "B": 4, "C": 4}
+    assert flattening_ranks(sum_of_products(random.Random(3), (3, 4, 5), 20)) \
+        == {"A": 3, "B": 4, "C": 5}
+    assert calls == []
+
+
+def test_unlucky_prime_tensor_gets_its_exact_rank(monkeypatch):
+    # p e000 + e111 has rank 2, but p vanishes mod p: every flattening has
+    # rank 1 there, so each leg falls back to exact elimination
+    p = tensors.PRIME
+    t = make_tensor((2, 2, 2), {(0, 0, 0): p, (1, 1, 1): 1})
+    residues = tensors._residues(t)
+    for axis in range(3):
+        m = np.moveaxis(residues, axis, 0).reshape(2, 4)
+        assert tensors._rank_mod_p(m.T.copy()) == 1
+    calls = counted_exact_ranks(monkeypatch)
+    assert flattening_ranks(t) == {"A": 2, "B": 2, "C": 2}
+    assert flattening_rank(t, "B") == 2 and len(calls) == 4
+    # Gaussian integers whose real and imaginary parts cancel mod p: 1 + s i
+    s = tensors.SQRT_MINUS_ONE
+    t = make_tensor((2, 2, 1), {(0, 0, 0): Scalar(1, s), (1, 1, 0): 1})
+    assert flattening_ranks(t) == {"A": 2, "B": 2, "C": 1}
+
+
+def test_flattening_rank_rejects_an_unknown_leg():
+    with pytest.raises(InputError):
+        flattening_rank(ghz(), "D")
 
 
 # -- local operators ----------------------------------------------------------

@@ -34,6 +34,10 @@ import inputs as I  # noqa: E402
 #: 10^400: an exact value no float holds
 BIG = "1" + "0" * 400
 
+#: the prime of tenrank's modular flattening rank (tenrank.tensors.PRIME):
+#: a tensor with this entry has a lower rank mod p than over the rationals
+PRIME = 2147483629
+
 
 def write_inputs(root: Path) -> dict:
     """The corpus's input files, written under `root`; name -> path."""
@@ -72,6 +76,12 @@ def write_inputs(root: Path) -> dict:
     write("big-witness", {"dims": [2, 2, 2], "terms": [
         {"a": [BIG, "0"], "b": ["1", "0"], "c": ["1", "0"]},
         {"a": ["0", "1"], "b": ["0", "1"], "c": ["0", "1"]}]})
+    # rank-deficient flattenings, which the modular rank hands to exact
+    # elimination, and a tensor whose flattenings lose rank mod PRIME
+    write("product", I.tensor_json((2, 2, 2), I.product_state(rng)))
+    write("bisep", I.tensor_json((2, 2, 2), I.biseparable(rng, 1)))
+    write("unlucky-prime", {"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": str(PRIME)}, {"i": [1, 1, 1], "re": "1"}]})
     return files
 
 
@@ -94,12 +104,17 @@ def corpus(f: dict) -> list:
         ["convert", "PHI3", "--ghz", "4"],
         ["convert", f["w-class"], "--ghz", "2"],
         ["convert", f["w-class"], "--ghz", "3"],
+        ["convert", f["unlucky-prime"], "--ghz", "1"],
         # rank, verify, classify, state
         ["rank", "W", "--als", "2"],
         ["rank", "W", "--als", "0"],
         ["rank", "GHZ", "--als", "2", "--out", "als.json"],
         ["rank", "W2", "--witness", "strassen7.json"],
         ["rank", "W2", "--witness", "fiduccia8.json"],
+        ["rank", f["phi3sq"], "--witness", f["phi3sq-witness0"]],
+        ["verify", f["phi3sq"], "--witness", f["phi3sq-witness0"]],
+        *(["rank", f[name]] for name in ("w-class", "product", "bisep", "unlucky-prime")),
+        *(["classify", f[name]] for name in ("product", "bisep", "unlucky-prime")),
         ["verify", "MATMUL", "--witness", "strassen7.json"],
         ["verify", "W2", "--witness", "strassen7.json"],
         ["verify", f["phi3-image0"], "--witness", f["phi3-image0-witness"]],
