@@ -29,8 +29,9 @@ import numpy as np
 
 from . import linalg
 from .decomp import (
+    ArrayTerms,
     ProductDecomposition,
-    Term,
+    make_decomposition,
     require_witness,
     strassen7_decomposition,
     term_values,
@@ -69,13 +70,11 @@ def naive_matmul_decomposition(m: int, n: int, p: int) -> ProductDecomposition:
         raise InputError("matrix dimensions must be positive")
 
     def unit(size, idx):
-        return tuple(ONE if t == idx else ZERO for t in range(size))
+        return tuple(int(t == idx) for t in range(size))
 
-    terms = tuple(
-        Term(unit(m * n, i * n + k), unit(n * p, k * p + j), unit(m * p, i * p + j))
-        for i in range(m) for k in range(n) for j in range(p)
-    )
-    return ProductDecomposition((m * n, n * p, m * p), terms)
+    return make_decomposition((m * n, n * p, m * p), [
+        (unit(m * n, i * n + k), unit(n * p, k * p + j), unit(m * p, i * p + j))
+        for i in range(m) for k in range(n) for j in range(p)])
 
 
 def matmul_power_relabeling(m: int, n: int, p: int, copies: int) -> LocalOperatorTriple:
@@ -205,14 +204,8 @@ def to_bilinear(d: ProductDecomposition) -> BilinearProgram:
 
 def from_bilinear(p: BilinearProgram) -> ProductDecomposition:
     """Program -> decomposition; exact inverse of to_bilinear."""
-    dc = len(p.w)
-    terms = tuple(
-        Term(p.u[k], p.v[k], tuple(p.w[l][k] for l in range(dc)))
-        for k in range(p.r)
-    )
-    da = len(p.u[0]) if p.u else 0
-    db = len(p.v[0]) if p.v else 0
-    return ProductDecomposition((da, db, dc), terms)
+    terms = [(p.u[k], p.v[k], tuple(row[k] for row in p.w)) for k in range(p.r)]
+    return ProductDecomposition(p.dims(), ArrayTerms.from_terms(terms, p.dims()))
 
 
 # ---------------------------------------------------------------------------

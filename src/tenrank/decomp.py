@@ -15,20 +15,18 @@ import itertools
 import math
 import operator
 import os
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, sampling
+from . import linalg
 from .als import AlsConfig, AlsResult, als_decompose
 from .errors import InputError, ResourceError, WitnessMismatch
 from .scalars import (
-    ONE,
     ZERO,
     Scalar,
     distinct_objects,
@@ -40,7 +38,6 @@ from .scalars import (
 from .tensors import (
     LocalOperatorTriple,
     Tensor3,
-    contract,
     dense_dims,
     flattening_ranks,
     json_ints,
@@ -113,12 +110,6 @@ def _to_leg(values, shape) -> Leg:
     return Leg(*(np.array(part, dtype=dtype)[index].reshape(shape) for part in (re, im)), den)
 
 
-def _legs_of(terms: list, dims) -> tuple:
-    """The three Legs of a list of terms of exact vectors."""
-    return tuple(_to_leg([x for term in terms for x in term[leg]], (len(terms), dim))
-                 for leg, dim in enumerate(dims))
-
-
 def _lowest(re: np.ndarray, im: np.ndarray, den: int) -> Leg:
     """Numerator arrays over den as a Leg in lowest terms."""
     values = re.ravel().tolist() + im.ravel().tolist()
@@ -149,6 +140,13 @@ class ArrayTerms(Sequence):
         for leg in self.legs:
             leg.re.flags.writeable = leg.im.flags.writeable = False
 
+    @classmethod
+    def from_terms(cls, terms, dims) -> "ArrayTerms":
+        """Terms of exact vectors (Scalars, ints, Fractions or "p/q"
+        strings) of the given dims; no given value object is kept."""
+        return cls(_to_leg([x for term in terms for x in term[leg]], (len(terms), dim))
+                   for leg, dim in enumerate(dims))
+
     def __len__(self):
         return len(self.legs[0].re)
 
@@ -178,11 +176,13 @@ class ArrayTerms(Sequence):
 
 
 def leg_arrays(d: ProductDecomposition) -> tuple:
-    """d's three Legs: stored for ArrayTerms, converted from the terms'
-    vectors for any other sequence."""
+    """d's three Legs: stored for ArrayTerms, built from the base for a lazy
+    power, converted from the terms' vectors for any other sequence."""
     if isinstance(d.terms, ArrayTerms):
         return d.terms.legs
-    return _legs_of(list(d.terms), d.dims)
+    if isinstance(d.terms, KroneckerPowerTerms):
+        return d.terms.legs()
+    return ArrayTerms.from_terms(d.terms, d.dims).legs
 
 
 def term_values(d: ProductDecomposition, convert) -> tuple:
@@ -214,30 +214,36 @@ def make_decomposition(dims, terms) -> ProductDecomposition:
         lengths = tuple(map(len, term))
         if lengths != (da, db, dc):
             raise InputError(f"term {k} has vector lengths {lengths}, expected {tuple(dims)}")
-    legs = _legs_of(terms, (da, db, dc))
+    stored = ArrayTerms.from_terms(terms, (da, db, dc))
     zero = np.zeros(len(terms), dtype=bool)
-    for leg in legs:
+    for leg in stored.legs:
         zero |= ~((leg.re != 0) | (leg.im != 0)).any(axis=1)
     if zero.any():
         raise InputError(f"term {int(np.argmax(zero))} contains an all-zero vector")
-    return ProductDecomposition((da, db, dc), ArrayTerms(legs))
+    return ProductDecomposition((da, db, dc), stored)
 
 
 class KroneckerPowerTerms(Sequence):
     """Lazy term list of the n-th Kronecker power of a base decomposition.
 
-    Term j corresponds to the base-r digits of j (first copy = most
-    significant digit) and is built on access as the leg-wise Kronecker
-    product of the chosen base terms.  Only the base terms are stored.
+    Term j is the leg-wise Kronecker product of the base terms named by the
+    base-r digits of j (first copy = most significant digit).  Only the
+    base is stored, as the ArrayTerms `base_terms`; `legs` builds the Legs
+    of any run of terms, and a Term of Scalars is built on access.
     """
 
-    def __init__(self, base_terms, copies: int):
-        self.base_terms = tuple(base_terms)
+    def __init__(self, base: ProductDecomposition, copies: int):
+        self.base_terms = ArrayTerms(leg_arrays(base))
         self.copies = copies
         self._len = len(self.base_terms) ** copies
 
     def __len__(self):
         return self._len
+
+    def legs(self, first: int = 0, stop: int | None = None) -> tuple:
+        """The three Legs of terms first, ..., stop - 1 (all terms by default)."""
+        rows = np.arange(first, self._len if stop is None else min(stop, self._len))
+        return tuple(_kron_rows(leg, self.copies, rows) for leg in self.base_terms.legs)
 
     def __getitem__(self, j):
         if isinstance(j, slice):
@@ -246,18 +252,26 @@ class KroneckerPowerTerms(Sequence):
             j += self._len
         if not 0 <= j < self._len:
             raise IndexError(j)
-        r = len(self.base_terms)
-        digits = []
-        for _ in range(self.copies):
-            j, d = divmod(j, r)
-            digits.append(d)
-        digits.reverse()
-        chosen = [self.base_terms[d] for d in digits]
-        return Term(
-            reduce(linalg.kron_vec, (t.a for t in chosen)),
-            reduce(linalg.kron_vec, (t.b for t in chosen)),
-            reduce(linalg.kron_vec, (t.c for t in chosen)),
-        )
+        return ArrayTerms(self.legs(j, j + 1))[0]
+
+
+def _kron_rows(leg: Leg, copies: int, rows: np.ndarray) -> Leg:
+    """The given rows of the copies-fold Kronecker power of a leg, in
+    lowest terms: row j is the Kronecker product of the base rows named by
+    the base-r digits of j, first copy most significant."""
+    # each copy at most doubles the largest part times max|leg|
+    dtype = _int_dtype(2 ** (copies - 1) * _max_abs(leg) ** copies)
+    base_re, base_im = leg.re.astype(dtype), leg.im.astype(dtype)
+
+    def kron(x, y):  # row k: the Kronecker product of row k of x and row k of y
+        return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
+
+    first, *rest = np.unravel_index(rows, (len(leg.re),) * copies)
+    re, im = base_re[first], base_im[first]
+    for digit in rest:
+        xr, xi = base_re[digit], base_im[digit]
+        re, im = kron(re, xr) - kron(im, xi), kron(re, xi) + kron(im, xr)
+    return _lowest(re, im, leg.den ** copies)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +343,18 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
     Gaussian integers over one common denominator and compared entrywise
     (first differing index reported in row-major order); an exact match
     certifies rank(T) <= r.  Beyond the limit the check falls back to the
-    randomized contraction identity against dense rational probes, which is
-    one-sided: a reported match holds with probability 1 up to the
-    vanishing chance that every probe hits a root of the nonzero difference
-    polynomial.  A decomposition with other dims raises WitnessMismatch.
+    one-copy randomized contraction identity of verify_power_randomized,
+    with 20 integer probes drawn from S = {-25, ..., 25} with seed 20, the
+    terms read a bounded number at a time.  It is one-sided: a reported
+    mismatch is certain, and by the Schwartz-Zippel lemma a wrong
+    decomposition passes with probability at most (3/51)^20, about 2.5e-25.
+    A decomposition with other dims raises WitnessMismatch.
     """
     if t.dims != d.dims:
         raise WitnessMismatch(f"dims mismatch: tensor {t.dims} vs decomposition {d.dims}")
     if len(d.terms) > DENSE_VERIFY_LIMIT:
-        return _probe(t, d, copies=1, probes=20, seed=20)
+        lazy = d.terms if isinstance(d.terms, KroneckerPowerTerms) else KroneckerPowerTerms(d, 1)
+        return _probe(t, lazy, copies=1, probes=20, seed=20)
     re, im, den = _dense_numerators(d)
     # off t's support the reconstruction must vanish; on it compare the
     # cross-multiplied numerators t_num * den == r_num * t_den
@@ -588,27 +605,10 @@ def decomposition_power(d: ProductDecomposition, n: int) -> ProductDecomposition
     if total > limit:
         raise ResourceError(f"{r}^{n} = {total} terms exceeds the term cap {limit}")
     dims = tuple(dim ** n for dim in d.dims)
+    lazy = KroneckerPowerTerms(d, n)
     if total * sum(dims) <= _MATERIALIZE_SCALARS:
-        return ProductDecomposition(dims, ArrayTerms(_kron_power(leg, n) for leg in leg_arrays(d)))
-    return ProductDecomposition(dims, KroneckerPowerTerms(d.terms, n))
-
-
-def _kron_power(leg: Leg, n: int) -> Leg:
-    """The n-fold Kronecker power of a leg: row j is the Kronecker product
-    of the base rows named by j's base-r digits, first copy most
-    significant, as KroneckerPowerTerms builds it."""
-    # each copy at most doubles the largest part times max|leg|
-    dtype = _int_dtype(2 ** (n - 1) * _max_abs(leg) ** n)
-    base_re, base_im = leg.re.astype(dtype), leg.im.astype(dtype)
-
-    def kron(x, y):
-        return (x[:, None, :, None] * y[None, :, None, :]).reshape(
-            len(x) * len(y), x.shape[1] * y.shape[1])
-
-    re, im = base_re, base_im
-    for _ in range(n - 1):
-        re, im = kron(re, base_re) - kron(im, base_im), kron(re, base_im) + kron(im, base_re)
-    return _lowest(re, im, leg.den ** n)
+        return ProductDecomposition(dims, ArrayTerms(lazy.legs()))
+    return ProductDecomposition(dims, lazy)
 
 
 def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
@@ -617,19 +617,21 @@ def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
     against the matching tensor power of `base_target`, without
     materializing either side.
 
-    Each probe draws fresh random rational vectors per copy and per leg
-    and compares the exact contraction of both sides:
+    Each probe draws integer vectors x_j, y_j, z_j per copy j, every entry
+    uniform in S = {-25, ..., 25}, and compares the exact contractions
 
       product_j sum_k (a_k . x_j)(b_k . y_j)(c_k . z_j)
         ==  product_j <base_target, x_j, y_j, z_j>
 
-    The left side equals the full contraction of all r^n terms against the
-    Kronecker probe (distributivity), and product vectors span the whole
-    probe space, so the identity holding for all probes characterizes
-    equality.  The check is one-sided Schwartz-Zippel style: a true
-    mismatch is a nonzero polynomial in the probe entries and survives
-    undetected only if every probe lands on a root, which has vanishing
-    probability over fresh random rationals.
+    over the base terms.  The left side is the contraction of all r^n terms
+    against the Kronecker probe (distributivity), so the sides agree as
+    polynomials exactly when the power reconstructs the n-th power of
+    `base_target`.  The check is one-sided: a correct power always passes;
+    the difference has degree 3n, so by the Schwartz-Zippel lemma a wrong
+    one passes all probes with probability at most (3n/|S|)^probes =
+    (3n/51)^probes, about 9e-10 for n = 6 and 20 probes.  `seed` seeds
+    numpy's generator (a negative seed draws the probes of its absolute
+    value, as `random.Random` does); fewer than one probe raises InputError.
     """
     if not isinstance(power.terms, KroneckerPowerTerms):
         raise InputError("verify_power_randomized needs a lazy Kronecker power")
@@ -640,29 +642,82 @@ def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
             f"power dims {power.dims} are not the {n}-th power of base dims {base_target.dims}"
         )
     base = ProductDecomposition(base_target.dims, lazy.base_terms)
-    return _probe(base_target, base, n, probes, seed)
+    return _probe(base_target, KroneckerPowerTerms(base, 1), n, probes, seed)
 
 
-def _probe(target: Tensor3, d: ProductDecomposition, copies: int, probes: int,
+#: the randomized checks draw every probe entry from S = {-25, ..., 25}
+_PROBE_MAX = 25
+
+
+def _probe(target: Tensor3, terms: KroneckerPowerTerms, copies: int, probes: int,
            seed: int) -> VerifyResult:
-    """The randomized contraction check shared by both verifiers: each of
-    `probes` probes draws rational x, y, z per copy from a stdlib generator
-    seeded with `seed` and compares the products over the copies of
-    <d, x, y, z> and <target, x, y, z>; one copy checks d against target
-    itself."""
-    rng = random.Random(seed)
-    da, db, dc = target.dims
-    for _ in range(probes):
-        lhs = rhs = ONE
-        for _ in range(copies):
-            x = sampling.vector(rng, da)
-            y = sampling.vector(rng, db)
-            z = sampling.vector(rng, dc)
-            lhs = lhs * decomposition_contract(d, x, y, z)
-            rhs = rhs * contract(target, x, y, z)
-        if lhs != rhs:
-            return VerifyResult(False, None, randomized=True)
-    return VerifyResult(True, randomized=True)
+    """The randomized check shared by both verifiers: `probes` probes of
+    `copies` copies each compare the products over the copies of the
+    contractions of `terms` and of `target`, computed for all probes at
+    once in integers and compared by cross-multiplied denominators."""
+    if probes < 1:
+        raise InputError(f"the randomized check needs at least one probe, got {probes}")
+    rng = np.random.default_rng(abs(seed))
+    xs = [rng.integers(-_PROBE_MAX, _PROBE_MAX + 1, size=(probes * copies, dim))
+          for dim in target.dims]
+    sides = []
+    for re, im, den in (_terms_values(terms, xs), _target_values(target, xs)):
+        products = []  # per probe, the product of its copies' values re + im i
+        for first in range(0, len(re), copies):
+            x, y = 1, 0
+            for u, v in zip(re[first:first + copies], im[first:first + copies]):
+                x, y = x * u - y * v, x * v + y * u
+            products.append((x, y))
+        sides.append((products, den ** copies))
+    (lhs, lhs_den), (rhs, rhs_den) = sides
+    ok = all(x * rhs_den == u * lhs_den and y * rhs_den == v * lhs_den
+             for (x, y), (u, v) in zip(lhs, rhs))
+    return VerifyResult(ok, None, randomized=True)
+
+
+def _terms_values(terms: KroneckerPowerTerms, xs) -> tuple:
+    """sum_k (a_k . x)(b_k . y)(c_k . z) over the terms for each row
+    (x, y, z) of the probe matrices xs, as Gaussian numerators (lists of
+    Python ints) over one denominator.  The terms are built a bounded
+    number at a time, so a lazy power never has all its rows at once."""
+    m = len(xs[0])
+    re, im = [0] * m, [0] * m
+    den = math.prod(leg.den ** terms.copies for leg in terms.base_terms.legs)
+    step = max(1, _CHUNK_SCALARS // (m + sum(x.shape[1] for x in xs)))
+    for first in range(0, len(terms), step):
+        legs = terms.legs(first, first + step)
+        # |a . x| <= dim * 25 * max|a| for each part, a product of three
+        # such complex sums is at most 4 times the product, the sum r times it
+        dtype = _int_dtype(4 * len(legs[0].re) * math.prod(
+            x.shape[1] * _PROBE_MAX * (_max_abs(leg) or 1) for x, leg in zip(xs, legs)))
+        (ar, ai), (br, bi), (cr, ci) = ([x.astype(dtype) @ part.T.astype(dtype)
+                                         for part in (leg.re, leg.im)]
+                                        for x, leg in zip(xs, legs))
+        ab_re, ab_im = ar * br - ai * bi, ar * bi + ai * br
+        # each chunk is over its own lowest denominator, a divisor of den
+        scale = den // math.prod(leg.den for leg in legs)
+        re = [x + y * scale for x, y in zip(re, (ab_re * cr - ab_im * ci).sum(axis=1).tolist())]
+        im = [x + y * scale for x, y in zip(im, (ab_re * ci + ab_im * cr).sum(axis=1).tolist())]
+    return re, im, den
+
+
+def _target_values(t: Tensor3, xs) -> tuple:
+    """<t, x, y, z> for each row (x, y, z) of the probe matrices xs, as
+    Gaussian numerators (lists of Python ints) over one denominator; t's
+    support is read a bounded number of entries at a time."""
+    support = np.array(t.support, dtype=np.int64)
+    distinct, index = distinct_objects(t.entries[flat] for flat in t.support)
+    t_re, t_im, den = gaussian_integers(distinct)
+    # each probe product x_a y_b z_c is at most 25^3
+    dtype = _int_dtype(_PROBE_MAX ** 3 * len(index) * max(map(abs, t_re + t_im), default=0))
+    coefficients = np.array([t_re, t_im], dtype=dtype)[:, index].T
+    values = np.zeros((len(xs[0]), 2), dtype=dtype)
+    step = max(1, _CHUNK_SCALARS // len(xs[0]))
+    for first in range(0, len(support), step):
+        a, b, c = np.unravel_index(support[first:first + step], t.dims)
+        products = (xs[0][:, a] * xs[1][:, b] * xs[2][:, c]).astype(dtype)
+        values += products @ coefficients[first:first + step]
+    return values[:, 0].tolist(), values[:, 1].tolist(), den
 
 
 # ---------------------------------------------------------------------------

@@ -22,35 +22,14 @@ def matrix(rows) -> tuple:
     return out
 
 
-def vector(entries) -> tuple:
-    return tuple(as_scalar(x) for x in entries)
-
-
 def identity(n: int) -> tuple:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
     )
 
 
-def zeros(rows: int, cols: int) -> tuple:
-    return tuple((ZERO,) * cols for _ in range(rows))
-
-
 def shape(m) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
-
-
-def transpose(m) -> tuple:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m, v) -> tuple:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a, b) -> tuple:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def dot(x, y):
@@ -60,11 +39,6 @@ def dot(x, y):
         if xi and yi:
             acc = acc + xi * yi
     return acc
-
-
-def kron_vec(x, y) -> tuple:
-    """Kronecker product of vectors; the first factor is the high-order digit."""
-    return tuple(xi * yi for xi in x for yi in y)
 
 
 def _echelon(rows: list) -> tuple[list, list]:

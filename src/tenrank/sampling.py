@@ -1,4 +1,4 @@
-"""Seeded random rational objects for probes and property checks.
+"""Seeded random rational objects for `tenrank matmul` operands and tests.
 
 Uses the stdlib `random.Random` so streams are reproducible across
 platforms for a fixed seed.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import linalg
 from .scalars import Scalar
 
 
@@ -28,19 +27,5 @@ def vector(rng: random.Random, n: int, **kw) -> tuple:
     return tuple(scalar(rng, **kw) for _ in range(n))
 
 
-def nonzero_vector(rng: random.Random, n: int, **kw) -> tuple:
-    while True:
-        v = vector(rng, n, **kw)
-        if any(v):
-            return v
-
-
 def matrix(rng: random.Random, rows: int, cols: int, **kw) -> tuple:
     return tuple(vector(rng, cols, **kw) for _ in range(rows))
-
-
-def invertible_matrix(rng: random.Random, n: int, **kw) -> tuple:
-    while True:
-        m = matrix(rng, n, n, **kw)
-        if linalg.det(m):
-            return m

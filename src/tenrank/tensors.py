@@ -332,13 +332,6 @@ class LocalOperatorTriple:
             linalg.shape(self.C)[0],
         )
 
-    def is_invertible(self) -> bool:
-        for m in (self.A, self.B, self.C):
-            r, c = linalg.shape(m)
-            if r != c or not linalg.det(m):
-                return False
-        return True
-
 
 def identity_triple(dims) -> LocalOperatorTriple:
     da, db, dc = dims

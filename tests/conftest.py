@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import sympy
 
-from tenrank.scalars import Scalar
+from tenrank import linalg, sampling
+from tenrank.scalars import Scalar, as_scalar
 
 
 def to_sympy(value: Scalar):
@@ -56,3 +57,48 @@ def oracle_outer_sum(dims, terms):
                         key = (i, j, k)
                         acc[key] = acc.get(key, Scalar(0)) + a[i] * b[j] * c[k]
     return {k: v for k, v in acc.items() if v}
+
+
+# -- per-Scalar vector and matrix references ---------------------------------
+
+
+def vector(entries):
+    return tuple(as_scalar(x) for x in entries)
+
+
+def zeros(rows, cols):
+    return tuple((Scalar(0),) * cols for _ in range(rows))
+
+
+def _dot(x, y):
+    return sum((xi * yi for xi, yi in zip(x, y)), Scalar(0))
+
+
+def mat_vec(m, v):
+    return tuple(_dot(row, v) for row in m)
+
+
+def mat_mul(a, b):
+    return tuple(tuple(_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def kron_vec(x, y):
+    """Kronecker product of vectors; the first factor is the high-order digit."""
+    return tuple(xi * yi for xi in x for yi in y)
+
+
+# -- seeded random inputs -------------------------------------------------------
+
+
+def nonzero_vector(rng, n, **kw):
+    while True:
+        v = sampling.vector(rng, n, **kw)
+        if any(v):
+            return v
+
+
+def invertible_matrix(rng, n, **kw):
+    while True:
+        m = sampling.matrix(rng, n, n, **kw)
+        if linalg.det(m):
+            return m

@@ -12,6 +12,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from conftest import invertible_matrix, mat_mul, nonzero_vector
+
 from tenrank import linalg, sampling
 from tenrank.als import AlsConfig
 from tenrank.bilinear import (
@@ -140,7 +142,7 @@ def test_criterion_6_rank_monotonicity_under_transport():
         for _ in range(200):
             dims = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
             terms = [
-                tuple(sampling.nonzero_vector(rng, d, max_num=3, max_den=2)
+                tuple(nonzero_vector(rng, d, max_num=3, max_den=2)
                       for d in dims)
                 for _ in range(rng.randint(1, 4))
             ]
@@ -179,7 +181,7 @@ def test_criterion_7_classifier_suite():
             assert classify_three_qubit(state) is expected
             for _ in range(200):
                 ops = LocalOperatorTriple(
-                    *(sampling.invertible_matrix(rng, 2, max_num=2, max_den=2)
+                    *(invertible_matrix(rng, 2, max_num=2, max_den=2)
                       for _ in range(3))
                 )
                 assert classify_three_qubit(apply_local_operators(ops, state)) is expected
@@ -211,7 +213,7 @@ def test_criterion_9_bipartite_criterion():
                 [[1 if i == j else 0 if j < k else sampling.scalar(rng, max_num=2)
                   for j in range(db)] for i in range(k)]
             )
-            m = linalg.mat_mul(left, right)
+            m = mat_mul(left, right)
             return make_tensor((da, db, 1), {
                 (i, j, 0): m[i][j] for i in range(da) for j in range(db) if m[i][j]
             })

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from tenrank import sampling
+from conftest import nonzero_vector
+
 from tenrank.als import (
     AlsConfig,
     AlsResult,
@@ -114,7 +115,7 @@ def _random_rank2_tensors(count):
     rng = random.Random(149)
     for _ in range(count):
         terms = [
-            tuple(sampling.nonzero_vector(rng, 2, max_num=2) for _ in range(3))
+            tuple(nonzero_vector(rng, 2, max_num=2) for _ in range(3))
             for _ in range(2)
         ]
         yield reconstruct(make_decomposition((2, 2, 2), terms))

@@ -8,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from conftest import invertible_matrix
 
 import tenrank
 from tenrank.als import AlsConfig
@@ -345,12 +346,11 @@ def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatc
 def test_w_class_file_has_rank_lower_bound_3_and_converts_to_no(capsys, tmp_path):
     # an image of W that is not W itself: no registered fact matches, and
     # the 2x2x2 rank test gives the lower bound 3
-    from tenrank import sampling
     from tenrank.tensors import LocalOperatorTriple, apply_local_operators
 
     rng = random.Random(93)
-    ops = LocalOperatorTriple(*(sampling.invertible_matrix(rng, 2, complex_parts=True,
-                                                           max_num=3, max_den=3)
+    ops = LocalOperatorTriple(*(invertible_matrix(rng, 2, complex_parts=True,
+                                                  max_num=3, max_den=3)
                                 for _ in range(3)))
     path = tmp_path / "w-class.json"
     path.write_text(json.dumps(tensor_to_json(apply_local_operators(ops, builtin_state("W")))))

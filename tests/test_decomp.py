@@ -1,15 +1,27 @@
+import itertools
 import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
-from conftest import oracle_outer_sum
+from conftest import (
+    invertible_matrix,
+    kron_vec,
+    mat_mul,
+    mat_vec,
+    nonzero_vector,
+    oracle_outer_sum,
+    vector,
+    zeros,
+)
 
 from tenrank import decomp, linalg, sampling, scalars
 from tenrank.bilinear import (
+    from_bilinear,
     matmul_tensor,
     naive_matmul_decomposition,
     phi3_matmul_witness,
@@ -49,6 +61,7 @@ from tenrank.tensors import (
     LocalOperatorTriple,
     Tensor3,
     apply_local_operators,
+    contract,
     flattening_rank,
     make_tensor,
     max_flattening_rank,
@@ -60,9 +73,9 @@ from tenrank.tensors import (
 def random_decomposition(rng, dims, r):
     terms = [
         (
-            sampling.nonzero_vector(rng, dims[0], max_num=3, max_den=2),
-            sampling.nonzero_vector(rng, dims[1], max_num=3, max_den=2),
-            sampling.nonzero_vector(rng, dims[2], max_num=3, max_den=2),
+            nonzero_vector(rng, dims[0], max_num=3, max_den=2),
+            nonzero_vector(rng, dims[1], max_num=3, max_den=2),
+            nonzero_vector(rng, dims[2], max_num=3, max_den=2),
         )
         for _ in range(r)
     ]
@@ -168,7 +181,7 @@ def test_randomized_fallback_is_the_one_copy_power_check_with_seed_20(monkeypatc
     corrupted = ProductDecomposition(
         d.dims, (Term(first.a, first.b, (first.c[0] + 1,) + first.c[1:]),) + d.terms[1:])
     for candidate in (d, corrupted):
-        one_copy = ProductDecomposition(d.dims, KroneckerPowerTerms(candidate.terms, 1))
+        one_copy = ProductDecomposition(d.dims, KroneckerPowerTerms(candidate, 1))
         expected = verify_power_randomized(mm, one_copy, probes=20, seed=20)
         assert verify_decomposition(mm, candidate) == expected
         assert expected.ok is (candidate is d)
@@ -232,8 +245,8 @@ def kernel_corpus():
     rng = random.Random(71)
     for _ in range(12):
         dims = tuple(rng.randint(1, 4) for _ in range(3))
-        terms = [tuple(sampling.nonzero_vector(rng, n, complex_parts=True, max_num=9,
-                                               max_den=12) for n in dims)
+        terms = [tuple(nonzero_vector(rng, n, complex_parts=True, max_num=9,
+                                      max_den=12) for n in dims)
                  for _ in range(rng.randint(1, 5))]
         pairs.append((make_tensor(dims, oracle_outer_sum(dims, terms)),
                       make_decomposition(dims, terms)))
@@ -423,13 +436,21 @@ def test_make_decomposition_validation():
 
 def per_scalar_terms(terms):
     """The Terms of the given vectors as Scalars, as a plain tuple."""
-    return tuple(Term(*(linalg.vector(v) for v in term)) for term in terms)
+    return tuple(Term(*(vector(v) for v in term)) for term in terms)
+
+
+def reference_power_terms(terms, n):
+    """The per-Scalar n-fold Kronecker power: term j is the leg-wise
+    Kronecker product of the base terms named by j's base-r digits, first
+    copy most significant."""
+    return tuple(Term(*(reduce(kron_vec, vectors) for vectors in zip(*chosen)))
+                 for chosen in itertools.product(terms, repeat=n))
 
 
 def test_array_terms_read_as_the_tuple_of_their_terms():
     rng = random.Random(81)
     dims = (3, 2, 4)
-    terms = [tuple(sampling.nonzero_vector(rng, n, complex_parts=True, max_num=9, max_den=6)
+    terms = [tuple(nonzero_vector(rng, n, complex_parts=True, max_num=9, max_den=6)
                    for n in dims) for _ in range(5)]
     d = make_decomposition(dims, terms)
     expected = per_scalar_terms(terms)
@@ -490,9 +511,9 @@ def test_storage_switches_to_python_ints_near_the_int64_limit():
         ops = LocalOperatorTriple(linalg.matrix([[1, Scalar(0, 2)], [0, Fraction(1, 2)]]),
                                   linalg.matrix([[1, 1]]), linalg.matrix([[2]]))
         assert transport(ops, d).terms == tuple(
-            Term(*(linalg.mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
+            Term(*(mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
             for term in plain.terms)
-        assert decomposition_power(d, 2).terms == tuple(KroneckerPowerTerms(plain.terms, 2))
+        assert decomposition_power(d, 2).terms == reference_power_terms(plain.terms, 2)
 
 
 def test_array_paths_match_the_per_scalar_terms():
@@ -504,12 +525,12 @@ def test_array_paths_match_the_per_scalar_terms():
                                                     max_num=3, max_den=4) for n in dims))
         moved = transport(ops, d)
         assert isinstance(moved.terms, ArrayTerms) and moved.terms == tuple(
-            Term(*(linalg.mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
+            Term(*(mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
             for term in d.terms)
         for n in (1, 2, 3):
             power = decomposition_power(d, n)
             assert isinstance(power.terms, ArrayTerms)
-            assert power.terms == tuple(KroneckerPowerTerms(d.terms, n))
+            assert power.terms == reference_power_terms(d.terms, n)
     e = linalg.identity(3)
     assert ghz_decomposition(3).terms == tuple(Term(e[i], e[i], e[i]) for i in range(3))
     # every leg is kept over its least common denominator
@@ -519,6 +540,8 @@ def test_array_paths_match_the_per_scalar_terms():
                               linalg.matrix([[1]]))
     assert transport(six, d).terms.legs[0].den == 1
     assert decomposition_power(d, 2).terms.legs[0].den == 36
+    half = make_decomposition((1, 1, 1), [((Scalar(Fraction(1, 2), Fraction(1, 2)),), (1,), (1,))])
+    assert decomposition_power(half, 2).terms.legs[0].den == 2  # ((1 + i)/2)^2 = i/2
 
 
 def test_consumers_build_one_value_per_distinct_value(monkeypatch):
@@ -560,7 +583,7 @@ def test_fiduccia_split_structure():
     for i, term in enumerate(d.terms[4:]):
         assert term.b == e[i] and term.c == e[i]
     # the first diagonal a-form carries the alternating-sign correction
-    assert d.terms[4].a == linalg.vector([-1, -1, -1, 1])
+    assert d.terms[4].a == vector([-1, -1, -1, 1])
 
 
 # -- transport / monotonicity -------------------------------------------------
@@ -613,8 +636,8 @@ def test_power_term_ordering_first_copy_is_high_digit():
     d = builtin_decomposition("GHZ", 2)
     p = decomposition_power(d, 2)
     # term index 1 = digits (0, 1): first copy term 0, second copy term 1
-    assert p.terms[1].a == linalg.vector([0, 1, 0, 0])
-    assert p.terms[2].a == linalg.vector([0, 0, 1, 0])
+    assert p.terms[1].a == vector([0, 1, 0, 0])
+    assert p.terms[2].a == vector([0, 0, 1, 0])
 
 
 def test_power_cap_and_env_override(monkeypatch):
@@ -638,12 +661,10 @@ def test_large_power_is_lazy_and_spot_terms_match():
     assert len(p6.terms) == 7 ** 6
     assert p6.dims == (4096, 4096, 4096)
     # spot check: term 0 is the 6-fold kron of base term 0
-    from functools import reduce
-
-    expected_a = reduce(linalg.kron_vec, [base.terms[0].a] * 6)
+    expected_a = reduce(kron_vec, [base.terms[0].a] * 6)
     assert p6.terms[0].a == expected_a
     # last term: all digits r-1
-    expected_c = reduce(linalg.kron_vec, [base.terms[6].c] * 6)
+    expected_c = reduce(kron_vec, [base.terms[6].c] * 6)
     assert p6.terms[-1].c == expected_c
     with pytest.raises(InputError):
         decomposition_power(p6, 2)
@@ -666,16 +687,14 @@ def test_randomized_contraction_agrees_with_dense_paths_at_n2():
     # dual-route lock: factorized power contraction == term sum == dense
     base = builtin_decomposition("STRASSEN7")
     p2 = decomposition_power(base, 2)
-    lazy = ProductDecomposition(p2.dims, KroneckerPowerTerms(base.terms, 2))
+    lazy = ProductDecomposition(p2.dims, KroneckerPowerTerms(base, 2))
     mm2 = tensor_product(matmul_tensor(2, 2, 2), matmul_tensor(2, 2, 2))
     rng = random.Random(61)
     for _ in range(5):
         x1, x2 = sampling.vector(rng, 4), sampling.vector(rng, 4)
         y1, y2 = sampling.vector(rng, 4), sampling.vector(rng, 4)
         z1, z2 = sampling.vector(rng, 4), sampling.vector(rng, 4)
-        x, y, z = linalg.kron_vec(x1, x2), linalg.kron_vec(y1, y2), linalg.kron_vec(z1, z2)
-        from tenrank.tensors import contract
-
+        x, y, z = kron_vec(x1, x2), kron_vec(y1, y2), kron_vec(z1, z2)
         dense_value = contract(mm2, x, y, z)
         assert decomposition_contract(p2, x, y, z) == dense_value
         assert decomposition_contract(lazy, x, y, z) == dense_value
@@ -686,6 +705,183 @@ def test_verify_power_randomized_requires_lazy_power():
     p2 = decomposition_power(base, 2)  # materialized
     with pytest.raises(InputError):
         verify_power_randomized(matmul_tensor(2, 2, 2), p2)
+
+
+def test_verify_power_randomized_needs_at_least_one_probe():
+    # no probe would pass any witness, STRASSEN7 unrelabeled against PHI3 too
+    wrong = decomposition_power(builtin_decomposition("STRASSEN7"), 6)
+    for probes in (0, -3):
+        with pytest.raises(InputError, match="at least one probe"):
+            verify_power_randomized(builtin_state("PHI3"), wrong, probes=probes)
+    assert not verify_power_randomized(builtin_state("PHI3"), wrong, probes=1).ok
+
+
+# -- the integer probe kernels against the per-Scalar contractions -------------
+
+
+def python_int_decomposition(rng, dims=(3, 2, 4), r=3):
+    """Complex terms with numerators near 2^21 in every leg, so the probe and
+    reconstruction bounds pass 2^62 and the kernels use Python ints."""
+    return make_decomposition(dims, [tuple(
+        tuple(Scalar(Fraction(rng.choice((-1, 1)) * (2 ** 21 - rng.randrange(9)),
+                              rng.choice((1, 3, 5))),
+                     rng.randrange(-2 ** 21, 2 ** 21)) for _ in range(n))
+        for n in dims) for _ in range(r)])
+
+
+def probe_rows(xs, i):
+    """Row i of the integer probe matrices xs as Scalar vectors."""
+    return tuple(tuple(Scalar(int(v)) for v in x[i]) for x in xs)
+
+
+def test_probe_kernels_match_per_scalar_contractions(monkeypatch):
+    big = python_int_decomposition(random.Random(91))
+    cases = kernel_corpus() + [(reference_reconstruct(big), big)]
+    # lazy powers, read a few rows at a time below: a complex base with
+    # denominators puts each chunk over its own lowest denominator
+    mm = matmul_tensor(2, 2, 2)
+    rng = random.Random(92)
+    mixed = make_decomposition((2, 3, 1), [tuple(
+        nonzero_vector(rng, n, complex_parts=True, max_num=9, max_den=12)
+        for n in (2, 3, 1)) for _ in range(3)])
+    for base, target in ((builtin_decomposition("STRASSEN7"), mm),
+                         (mixed, reconstruct(mixed))):
+        lazy = ProductDecomposition(tuple(n * n for n in base.dims), KroneckerPowerTerms(base, 2))
+        cases.append((tensor_product(target, target), lazy))
+    monkeypatch.setattr(decomp, "_CHUNK_SCALARS", 40)
+    generator = np.random.default_rng(93)
+    for t, d in cases:
+        xs = [generator.integers(-25, 26, size=(6, n)) for n in t.dims]
+        terms = d.terms if isinstance(d.terms, KroneckerPowerTerms) else KroneckerPowerTerms(d, 1)
+        for (re, im, den), reference in (
+                (decomp._terms_values(terms, xs), partial(decomposition_contract, d)),
+                (decomp._target_values(t, xs), partial(contract, t))):
+            for i in range(6):
+                assert scalars.from_gaussian(re[i], im[i], den) == reference(*probe_rows(xs, i))
+
+
+def test_every_lazy_power_term_matches_the_per_scalar_reference():
+    rng = random.Random(94)
+    mixed = make_decomposition((2, 3, 1), [tuple(
+        nonzero_vector(rng, n, complex_parts=True, max_num=9, max_den=12)
+        for n in (2, 3, 1)) for _ in range(3)])
+    # numerators near 2^40: the square of a leg passes 2^62
+    big = make_decomposition((2, 1, 1), [((2 ** 40, Scalar(1, -2 ** 40)), (3,), (1,)),
+                                         ((1, Fraction(1, 3)), (Scalar(0, 1),), (2,))])
+    assert KroneckerPowerTerms(big, 2).legs()[0].re.dtype == object
+    for base in (builtin_decomposition("STRASSEN7"), mixed, big):
+        for n in (2, 3):
+            lazy = KroneckerPowerTerms(base, n)
+            expected = reference_power_terms(base.terms, n)
+            assert len(lazy) == len(expected) and tuple(lazy) == expected
+            assert lazy[-1] == expected[-1] and lazy[1:3] == list(expected[1:3])
+            assert ArrayTerms(lazy.legs()) == expected
+            assert ArrayTerms(lazy.legs(2, 5)) == expected[2:5]
+            assert decomposition_power(base, n).terms == expected
+
+
+def test_lazy_power_keeps_no_caller_scalar():
+    x, y = Scalar(Fraction(7, 3), Fraction(-2, 5)), Scalar(11)
+    plain = ProductDecomposition((2, 1, 1), (Term((x, y), (x,), (y,)), Term((y, x), (y,), (x,))))
+    before = sys.getrefcount(x), sys.getrefcount(y)
+    lazy = KroneckerPowerTerms(plain, 2)
+    assert (sys.getrefcount(x), sys.getrefcount(y)) == before
+    assert isinstance(lazy.base_terms, ArrayTerms) and len(lazy.base_terms) == 2
+    assert lazy[1] == Term(kron_vec((x, y), (y, x)), (x * y,), (y * x,))
+
+
+def test_one_coefficient_corruption_of_the_phi3_base_is_rejected():
+    phi3, base = builtin_state("PHI3"), phi3_witness()
+    terms = tuple(base.terms)
+    a, b, c = terms[3]
+    bad = ProductDecomposition(base.dims, terms[:3] + (Term(a, b, c[:2] + (c[2] + 1,) + c[3:]),)
+                               + terms[4:])
+    assert not verify_decomposition(phi3, bad).ok
+    for n in (4, 5, 6):
+        good, wrong = decomposition_power(base, n), decomposition_power(bad, n)
+        for seed in range(20):
+            assert verify_power_randomized(phi3, good, seed=seed).ok
+            assert not verify_power_randomized(phi3, wrong, seed=seed).ok
+
+
+def test_probes_follow_the_seed_and_negative_seeds_are_accepted(monkeypatch):
+    phi3 = builtin_state("PHI3")
+    good = decomposition_power(phi3_witness(), 6)
+    wrong = decomposition_power(builtin_decomposition("STRASSEN7"), 6)
+    drawn = []
+    original = decomp._target_values
+    monkeypatch.setattr(decomp, "_target_values",
+                        lambda t, xs: drawn.append([x.tolist() for x in xs]) or original(t, xs))
+    for seed in (-1, -20, -(2 ** 40), 2 ** 70):
+        assert verify_power_randomized(phi3, good, seed=seed).ok
+        for _ in range(2):
+            assert verify_power_randomized(phi3, wrong, seed=seed) == \
+                VerifyResult(False, None, randomized=True)
+        assert drawn[-1] == drawn[-2] == drawn[-3]
+    # a negative seed draws the probes of its absolute value, as random.Random does
+    verify_power_randomized(phi3, good, seed=20)
+    assert drawn[-1] == drawn[3]
+    verify_power_randomized(phi3, good, seed=21)
+    assert drawn[-1] != drawn[-2]
+
+
+def test_lazy_power_fallback_reads_bounded_chunks_and_matches_dense(monkeypatch):
+    mm = matmul_tensor(2, 2, 2)
+    target = tensor_product(mm, mm)
+    strassen = builtin_decomposition("STRASSEN7")
+    first = strassen.terms[0]
+    corrupted = ProductDecomposition(
+        strassen.dims, (Term(first.a, first.b, (first.c[0] + 1,) + first.c[1:]),)
+        + tuple(strassen.terms[1:]))
+    bases = ((strassen, True), (corrupted, False))
+    for base, ok in bases:
+        assert verify_decomposition(target, decomposition_power(base, 2)).ok is ok
+    monkeypatch.setattr(decomp, "DENSE_VERIFY_LIMIT", 10)
+    monkeypatch.setattr(decomp, "_CHUNK_SCALARS", 400)
+    spans = []
+    original = KroneckerPowerTerms.legs
+
+    def spy(self, first=0, stop=None):
+        spans.append((first, stop))
+        return original(self, first, stop)
+
+    monkeypatch.setattr(KroneckerPowerTerms, "legs", spy)
+    for base, ok in bases:
+        lazy = ProductDecomposition(target.dims, KroneckerPowerTerms(base, 2))
+        assert verify_decomposition(target, lazy) == VerifyResult(ok, None, randomized=True)
+    # 20 probes and dims 16: at most 400 // (20 + 48) = 5 of the 49 rows at a time
+    assert len(spans) == 2 * 10 and all(stop - first <= 5 for first, stop in spans)
+
+
+def test_package_decompositions_hold_legs_and_probes_make_no_scalars(monkeypatch):
+    phi3 = builtin_state("PHI3")
+    witness = phi3_witness()
+    rationalized = decomp.rationalize_factors((2, 2, 2), [np.eye(2)] * 3)
+    built = [builtin_decomposition("STRASSEN7"), builtin_decomposition("FIDUCCIA8_W2"),
+             ghz_decomposition(3), w_rank3_decomposition(), witness, rationalized,
+             decomposition_power(witness, 2), decomposition_power(witness, 6),
+             naive_matmul_decomposition(2, 3, 2), from_bilinear(to_bilinear(witness)),
+             decomposition_from_json(json.loads(json.dumps(decomposition_to_json(witness))))]
+    for d in built:
+        terms = d.terms.base_terms if isinstance(d.terms, KroneckerPowerTerms) else d.terms
+        assert isinstance(terms, ArrayTerms)
+        for leg in terms.legs:
+            for part in (leg.re, leg.im):
+                assert part.dtype == np.int64 or {type(v) for v in part.ravel()} <= {int}
+    # every Scalar operation makes a new Scalar: count them in both checks
+    phi3sq = tensor_product(phi3, phi3)
+    lazy2 = ProductDecomposition(phi3sq.dims, KroneckerPowerTerms(witness, 2))
+    made = []
+    original = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: made.append(args)
+                        or original(self, *args))
+    assert verify_power_randomized(phi3, built[7]).ok
+    monkeypatch.setattr(decomp, "DENSE_VERIFY_LIMIT", 3)
+    assert verify_decomposition(phi3, witness) == VerifyResult(True, None, randomized=True)
+    assert verify_decomposition(phi3sq, lazy2) == VerifyResult(True, None, randomized=True)
+    assert made == []
+    Scalar(2) * Scalar(3)
+    assert len(made) == 3
 
 
 # -- non-additivity -----------------------------------------------------------
@@ -716,9 +912,9 @@ def test_w_pencil_is_nonzero_nilpotent_oracle():
     # hand-checkable oracle for the W case: S1 S0^-1 = [[0,1],[0,0]]
     w = builtin_state("W")
     s0, s1 = (tuple(tuple(w[a, b, c] for b in range(2)) for a in range(2)) for c in range(2))
-    m = linalg.mat_mul(s1, linalg.inverse(s0))
+    m = mat_mul(s1, linalg.inverse(s0))
     assert m == linalg.matrix([[0, 1], [0, 0]])
-    assert linalg.mat_mul(m, m) == linalg.zeros(2, 2)  # nilpotent, nonzero
+    assert mat_mul(m, m) == zeros(2, 2)  # nilpotent, nonzero
 
 
 def _image(ops, t):
@@ -737,7 +933,7 @@ def test_rank222_by_construction_oracles():
     rank_one = linalg.matrix([[1, 0], [0, 0]])
 
     def invertible():
-        return sampling.invertible_matrix(rng, 2, complex_parts=True, max_num=3, max_den=2)
+        return invertible_matrix(rng, 2, complex_parts=True, max_num=3, max_den=2)
 
     for _ in range(10):
         ops = [invertible() for _ in range(3)]
@@ -747,7 +943,7 @@ def test_rank222_by_construction_oracles():
             assert rank_leq2_test_2x2x2(_image(ops, t)) is Rank222.DEGENERATE
         # one operator of rank 1 (or 0) collapses that leg's flattening
         leg = rng.randrange(3)
-        ops[leg] = linalg.mat_mul(ops[leg], rank_one) if rng.random() < 0.8 else \
+        ops[leg] = mat_mul(ops[leg], rank_one) if rng.random() < 0.8 else \
             linalg.matrix([[0, 0], [0, 0]])
         for t in (ghz, w):
             assert rank_leq2_test_2x2x2(_image(ops, t)) is Rank222.DEGENERATE
@@ -771,7 +967,7 @@ def test_rank222_rank_one_plus_generic_is_geq3_for_w_class():
     w = builtin_state("W")
     for _ in range(25):
         ops = LocalOperatorTriple(
-            *(sampling.invertible_matrix(rng, 2, max_num=3, max_den=2) for _ in range(3))
+            *(invertible_matrix(rng, 2, max_num=3, max_den=2) for _ in range(3))
         )
         assert rank_leq2_test_2x2x2(apply_local_operators(ops, w)) is Rank222.RANK_GEQ3
 
@@ -791,7 +987,7 @@ def test_rank_facts_lookup():
 
 def test_rank_bounds_on_a_fixed_corpus():
     phi3 = builtin_state("PHI3")
-    ops = LocalOperatorTriple(*(sampling.invertible_matrix(random.Random(k), 4)
+    ops = LocalOperatorTriple(*(invertible_matrix(random.Random(k), 4)
                                 for k in range(3)))
     # (tensor, flattening ranks A/B/C, lower, upper, registered name)
     corpus = [
@@ -815,8 +1011,8 @@ def w_class_images(seed, count):
     """Images of W under random invertible complex local operators."""
     rng = random.Random(seed)
     for _ in range(count):
-        ops = LocalOperatorTriple(*(sampling.invertible_matrix(rng, 2, complex_parts=True,
-                                                               max_num=3, max_den=3)
+        ops = LocalOperatorTriple(*(invertible_matrix(rng, 2, complex_parts=True,
+                                                      max_num=3, max_den=3)
                                     for _ in range(3)))
         yield ops, apply_local_operators(ops, builtin_state("W"))
 

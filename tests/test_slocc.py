@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import oracle_rank
+from conftest import invertible_matrix, mat_mul, oracle_rank
 
 from tenrank import decomp, linalg, sampling, slocc, tensors
 from tenrank.bilinear import phi3_matmul_witness
@@ -275,8 +275,8 @@ def test_w_class_image_is_no_by_the_2x2x2_rank_test(monkeypatch):
     monkeypatch.setattr(slocc, "als_search", lambda *args: pytest.fail("searched"))
     rng = random.Random(92)
     for _ in range(4):
-        ops = LocalOperatorTriple(*(sampling.invertible_matrix(rng, 2, complex_parts=True,
-                                                               max_num=3, max_den=3)
+        ops = LocalOperatorTriple(*(invertible_matrix(rng, 2, complex_parts=True,
+                                                      max_num=3, max_den=3)
                                     for _ in range(3)))
         verdict = decide_ghz_conversion(apply_local_operators(ops, builtin_state("W")), 2)
         assert (verdict.kind, verdict.lower_bound, verdict.upper_bound) == ("no", 3, None)
@@ -343,7 +343,7 @@ def _bipartite_of_rank(rng, da, db, k):
              for j in range(k)] for i in range(da)]
     right = [[Scalar(1 if i == j else 0) if j < k else sampling.scalar(rng, max_num=2)
               for j in range(db)] for i in range(k)]
-    m = linalg.mat_mul(linalg.matrix(left), linalg.matrix(right))
+    m = mat_mul(linalg.matrix(left), linalg.matrix(right))
     return make_tensor((da, db, 1), {
         (i, j, 0): m[i][j] for i in range(da) for j in range(db) if m[i][j]
     })
@@ -410,8 +410,8 @@ def test_classifier_invariance_under_invertible_locals():
     for expected, state in representatives().items():
         for _ in range(20):
             ops = LocalOperatorTriple(
-                *(sampling.invertible_matrix(rng, 2, complex_parts=True,
-                                             max_num=2, max_den=2)
+                *(invertible_matrix(rng, 2, complex_parts=True,
+                                    max_num=2, max_den=2)
                   for _ in range(3))
             )
             assert classify_three_qubit(apply_local_operators(ops, state)) is expected
@@ -500,7 +500,7 @@ def test_protocol_json_shape():
 
 def test_protocol_text_equals_json_dumps_of_the_dict_form():
     rng = random.Random(8)
-    image = [sampling.invertible_matrix(rng, 4) for _ in range(3)]
+    image = [invertible_matrix(rng, 4) for _ in range(3)]
     cases = [
         (builtin_decomposition("FIDUCCIA8_W2"), 8),   # repeated values
         (builtin_decomposition("FIDUCCIA8_W2"), 13),  # zero padding columns

@@ -35,3 +35,16 @@ def test_trace_harness_names_resolve():
             if not callable(getattr(owner, attr, None)):
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def test_decomp_draws_no_stdlib_or_scalar_probes():
+    # the randomized checks draw integer probes with numpy and build power
+    # terms from integer Legs: no per-Scalar sampling, stdlib generator or reduce
+    tree = ast.parse((PACKAGE / "decomp.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.name for alias in node.names}
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    assert imported & {"random", "sampling", "reduce"} == set()

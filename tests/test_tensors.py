@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import oracle_outer_sum, oracle_rank
+from conftest import invertible_matrix, nonzero_vector, oracle_outer_sum, oracle_rank
 
 from tenrank import linalg, sampling, tensors
 from tenrank.decomp import builtin_state
@@ -227,9 +227,9 @@ def test_flattening_rank_bounds_and_invariance():
             assert ranks[leg] <= bounds[leg]
             assert ranks[leg] == oracle_rank(flattening(t, leg))
         ops = LocalOperatorTriple(
-            sampling.invertible_matrix(rng, da, max_num=3, max_den=2),
-            sampling.invertible_matrix(rng, db, max_num=3, max_den=2),
-            sampling.invertible_matrix(rng, dc, max_num=3, max_den=2),
+            invertible_matrix(rng, da, max_num=3, max_den=2),
+            invertible_matrix(rng, db, max_num=3, max_den=2),
+            invertible_matrix(rng, dc, max_num=3, max_den=2),
         )
         transformed = apply_local_operators(ops, t)
         assert {leg: flattening_rank(transformed, leg) for leg in "ABC"} == ranks
@@ -269,7 +269,7 @@ def sum_of_products(rng, dims, r, scale=1):
     times `scale`."""
     entries = {}
     for _ in range(r):
-        a, b, c = (sampling.nonzero_vector(rng, d, complex_parts=True, max_num=4, max_den=3)
+        a, b, c = (nonzero_vector(rng, d, complex_parts=True, max_num=4, max_den=3)
                    for d in dims)
         for i, x in enumerate(a):
             for j, y in enumerate(b):

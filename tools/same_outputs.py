@@ -34,6 +34,10 @@ import inputs as I  # noqa: E402
 #: 10^400: an exact value no float holds
 BIG = "1" + "0" * 400
 
+#: one past tenrank's dense verification limit (tenrank.decomp.DENSE_VERIFY_LIMIT):
+#: a witness with this many terms takes the randomized fallback check
+FALLBACK_TERMS = 100_001
+
 #: the prime of tenrank's modular flattening rank (tenrank.tensors.PRIME):
 #: a tensor with this entry has a lower rank mod p than over the rationals
 PRIME = 2147483629
@@ -82,6 +86,15 @@ def write_inputs(root: Path) -> dict:
     write("bisep", I.tensor_json((2, 2, 2), I.biseparable(rng, 1)))
     write("unlucky-prime", {"dims": [2, 2, 2], "entries": [
         {"i": [0, 0, 0], "re": str(PRIME)}, {"i": [1, 1, 1], "re": "1"}]})
+    # past the dense verification limit: FALLBACK_TERMS terms of +-1 that
+    # cancel down to the 1x1x1 tensor 1, and a twin with one term changed
+    write("one", I.tensor_json((1, 1, 1), {(0, 0, 0): I.ONE}))
+    signs = [I.q(1 - 2 * (k % 2)) for k in range(FALLBACK_TERMS)]
+    write("cancel-witness", I.decomposition_json((1, 1, 1), [((I.ONE,), (I.ONE,), (sign,))
+                                                               for sign in signs]))
+    signs[-1] = I.q(2)
+    write("cancel-twin", I.decomposition_json((1, 1, 1), [((I.ONE,), (I.ONE,), (sign,))
+                                                            for sign in signs]))
     return files
 
 
@@ -118,6 +131,9 @@ def corpus(f: dict) -> list:
         ["verify", "MATMUL", "--witness", "strassen7.json"],
         ["verify", "W2", "--witness", "strassen7.json"],
         ["verify", f["phi3-image0"], "--witness", f["phi3-image0-witness"]],
+        # the randomized fallback past the dense limit; the twin exits 3
+        *([command, f["one"], "--witness", f[witness]]
+          for witness in ("cancel-witness", "cancel-twin") for command in ("verify", "rank")),
         ["classify", "W"],
         ["classify", f["w-class"]],
         ["state", "PHI3"],
