@@ -28,12 +28,16 @@ from .als import AlsConfig, AlsResult, als_decompose
 from .errors import InputError, ResourceError, WitnessMismatch
 from .scalars import (
     ZERO,
+    Leg,
     Scalar,
-    distinct_objects,
+    _int_dtype,
+    _lowest,
+    _mapped,
+    _max_abs,
+    _to_leg,
     from_gaussian,
-    gaussian_integers,
+    gaussian_from_json,
     gaussian_to_json,
-    scalar_from_json,
 )
 from .tensors import (
     LocalOperatorTriple,
@@ -83,48 +87,6 @@ class ProductDecomposition:
         return len(self.terms)
 
 
-class Leg(NamedTuple):
-    """One leg of r product terms: r x dim arrays of the real and imaginary
-    numerators over the leg's least common denominator `den`, int64 when
-    every numerator is below 2^62 and Python ints (dtype object)
-    otherwise."""
-
-    re: np.ndarray
-    im: np.ndarray
-    den: int
-
-
-def _int_dtype(bound: int):
-    """int64 when `bound`, a bound on the absolute value of every integer
-    and partial result involved, is below 2^62; Python ints (dtype object)
-    otherwise, so nothing wraps."""
-    return np.int64 if bound < 1 << 62 else object
-
-
-def _to_leg(values, shape) -> Leg:
-    """Exact values (Scalars, ints, Fractions or "p/q" strings, term-major)
-    as a Leg of the given shape; each distinct object is converted once."""
-    distinct, index = distinct_objects(values)
-    re, im, den = gaussian_integers(distinct)
-    dtype = _int_dtype(max(map(abs, re + im), default=0))
-    return Leg(*(np.array(part, dtype=dtype)[index].reshape(shape) for part in (re, im)), den)
-
-
-def _lowest(re: np.ndarray, im: np.ndarray, den: int) -> Leg:
-    """Numerator arrays over den as a Leg in lowest terms."""
-    values = re.ravel().tolist() + im.ravel().tolist()
-    g = math.gcd(den, *values)
-    if g > 1:
-        values = [x // g for x in values]
-    dtype = _int_dtype(max(map(abs, values), default=0))
-    parts = np.array(values, dtype=dtype).reshape((2,) + re.shape)
-    return Leg(parts[0], parts[1], den // g)
-
-
-def _max_abs(leg: Leg) -> int:
-    return max((int(abs(part).max()) for part in (leg.re, leg.im) if part.size), default=0)
-
-
 class ArrayTerms(Sequence):
     """r product terms stored as three Legs, one per tensor leg.
 
@@ -153,12 +115,7 @@ class ArrayTerms(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return tuple(self[j] for j in range(*k.indices(len(self))))
-        r = len(self)
-        k = operator.index(k)
-        if k < 0:
-            k += r
-        if not 0 <= k < r:
-            raise IndexError(k)
+        k = range(len(self))[k]  # negative indices count from the end; IndexError past it
         return Term(*(tuple(map(from_gaussian, leg.re[k].tolist(), leg.im[k].tolist(),
                                 itertools.repeat(leg.den)))
                       for leg in self.legs))
@@ -206,16 +163,23 @@ def make_decomposition(dims, terms) -> ProductDecomposition:
     """Validated constructor: dims must be positive, vector lengths must
     match them and no term may contain an all-zero vector.  The terms are
     stored as ArrayTerms; no given value object is kept."""
+    terms = [[tuple(v) for v in term] for term in terms]
+    return _validated(dims, [tuple(map(len, term)) for term in terms],
+                      lambda dims: ArrayTerms.from_terms(terms, dims))
+
+
+def _validated(dims, lengths, stored) -> ProductDecomposition:
+    """The decomposition of the ArrayTerms stored(dims) once the dims are
+    positive and equal to every term's vector lengths; InputError
+    otherwise, and for a term with an all-zero vector."""
     da, db, dc = dims
     if min(da, db, dc) < 1:
         raise InputError(f"dimensions must be positive, got {tuple(dims)}")
-    terms = [[tuple(v) for v in term] for term in terms]
-    for k, term in enumerate(terms):
-        lengths = tuple(map(len, term))
-        if lengths != (da, db, dc):
-            raise InputError(f"term {k} has vector lengths {lengths}, expected {tuple(dims)}")
-    stored = ArrayTerms.from_terms(terms, (da, db, dc))
-    zero = np.zeros(len(terms), dtype=bool)
+    for k, term in enumerate(lengths):
+        if term != (da, db, dc):
+            raise InputError(f"term {k} has vector lengths {term}, expected {tuple(dims)}")
+    stored = stored((da, db, dc))
+    zero = np.zeros(len(stored), dtype=bool)
     for leg in stored.legs:
         zero |= ~((leg.re != 0) | (leg.im != 0)).any(axis=1)
     if zero.any():
@@ -248,10 +212,7 @@ class KroneckerPowerTerms(Sequence):
     def __getitem__(self, j):
         if isinstance(j, slice):
             return [self[i] for i in range(*j.indices(self._len))]
-        if j < 0:
-            j += self._len
-        if not 0 <= j < self._len:
-            raise IndexError(j)
+        j = range(self._len)[j]
         return ArrayTerms(self.legs(j, j + 1))[0]
 
 
@@ -319,11 +280,7 @@ def _dense_numerators(d: ProductDecomposition):
 def reconstruct(d: ProductDecomposition) -> Tensor3:
     """Densely rebuild sum_k a_k (x) b_k (x) c_k (subject to the entry cap)."""
     re, im, den = _dense_numerators(d)
-    nonzero = np.flatnonzero((re != 0) | (im != 0))
-    entries = [ZERO] * len(re)
-    for flat, x, y in zip(nonzero.tolist(), re[nonzero].tolist(), im[nonzero].tolist()):
-        entries[flat] = from_gaussian(x, y, den)
-    return Tensor3(d.dims, entries)
+    return Tensor3._from_numerators(d.dims, np.arange(len(re)), re, im, den)
 
 
 @dataclass(frozen=True)
@@ -359,18 +316,15 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
     # off t's support the reconstruction must vanish; on it compare the
     # cross-multiplied numerators t_num * den == r_num * t_den
     mismatch = (re != 0) | (im != 0)
-    nonzero = list(t.support)
-    distinct, index = distinct_objects(t.entries[flat] for flat in nonzero)
-    t_re, t_im, t_den = gaussian_integers(distinct)
-    mismatch[nonzero] = [x * t_den != t_re[k] * den or y * t_den != t_im[k] * den
-                         for x, y, k in zip(re[nonzero].tolist(), im[nonzero].tolist(), index)]
+    support = t.support
+    t_re, t_im, t_den = t.values
+    mismatch[support] = [x * t_den != u * den or y * t_den != v * den
+                         for x, y, u, v in zip(re[support].tolist(), im[support].tolist(),
+                                               t_re.tolist(), t_im.tolist())]
     bad = np.flatnonzero(mismatch)
     if not bad.size:
         return VerifyResult(True)
-    _, db, dc = t.dims
-    a, rest = divmod(int(bad[0]), db * dc)
-    b, c = divmod(rest, dc)
-    return VerifyResult(False, (a, b, c))
+    return VerifyResult(False, tuple(map(int, np.unravel_index(bad[0], t.dims))))
 
 
 def require_witness(t: Tensor3, d: ProductDecomposition) -> ProductDecomposition:
@@ -426,17 +380,8 @@ def transport(ops: LocalOperatorTriple, d: ProductDecomposition) -> ProductDecom
             "refusing to transport a decomposition with more than "
             f"{DENSE_VERIFY_LIMIT} terms; transport the base and take the power instead"
         )
-    legs = (_apply(m, leg) for m, leg in zip((ops.A, ops.B, ops.C), leg_arrays(d)))
+    legs = (_mapped(m, leg) for m, leg in zip((ops.A, ops.B, ops.C), leg_arrays(d)))
     return ProductDecomposition(ops.output_dims(), ArrayTerms(legs))
-
-
-def _apply(m, leg: Leg) -> Leg:
-    """Every vector of `leg` mapped by the exact matrix m, in integers."""
-    rows, cols = linalg.shape(m)
-    op = _to_leg([x for row in m for x in row], (rows, cols))
-    dtype = _int_dtype(2 * cols * _max_abs(op) * _max_abs(leg))
-    xr, xi, mr, mi = (part.astype(dtype) for part in (leg.re, leg.im, op.re.T, op.im.T))
-    return _lowest(xr @ mr - xi @ mi, xr @ mi + xi @ mr, leg.den * op.den)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +405,9 @@ def builtin_state(name: str, *params: int) -> Tensor3:
         n = params[0] if params else 2
         if n < 1:
             raise InputError("GHZ level count must be positive")
-        return make_tensor((n, n, n), (((i, i, i), 1) for i in range(n)))
+        dims, diagonal = dense_dims((n, n, n)), np.arange(n)
+        return Tensor3._from_numerators(dims, diagonal * (n * n + n + 1), diagonal * 0 + 1,
+                                        diagonal * 0, 1)
     if key == "W":
         return make_tensor((2, 2, 2), {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1})
     if key == "EPR":
@@ -482,12 +429,6 @@ def builtin_state(name: str, *params: int) -> Tensor3:
         m, n, p = params
         return matmul_tensor(m, n, p)
     raise InputError(f"unknown builtin state {name!r}")
-
-
-def _terms_from_ints(dims, rows):
-    return make_decomposition(
-        dims, [(tuple(a), tuple(b), tuple(c)) for a, b, c in rows]
-    )
 
 
 def strassen7_decomposition() -> ProductDecomposition:
@@ -513,7 +454,7 @@ def strassen7_decomposition() -> ProductDecomposition:
         # (a12-a22)(b21+b22) -> c11
         ((0, 1, 0, -1), (0, 0, 1, 1), (1, 0, 0, 0)),
     ]
-    return _terms_from_ints((4, 4, 4), rows)
+    return make_decomposition((4, 4, 4), rows)
 
 
 def fiduccia8_w2_decomposition() -> ProductDecomposition:
@@ -536,7 +477,7 @@ def fiduccia8_w2_decomposition() -> ProductDecomposition:
         ((-1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0)),
         ((-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1)),
     ]
-    return _terms_from_ints((4, 4, 4), rows)
+    return make_decomposition((4, 4, 4), rows)
 
 
 def ghz_decomposition(n: int) -> ProductDecomposition:
@@ -556,7 +497,7 @@ def w_rank3_decomposition() -> ProductDecomposition:
         ((-half, half), (1, -1), (1, -1)),
         ((0, -1), (0, 1), (0, 1)),
     ]
-    return _terms_from_ints((2, 2, 2), rows)
+    return make_decomposition((2, 2, 2), rows)
 
 
 def builtin_decomposition(name: str, *params: int) -> ProductDecomposition:
@@ -705,12 +646,10 @@ def _target_values(t: Tensor3, xs) -> tuple:
     """<t, x, y, z> for each row (x, y, z) of the probe matrices xs, as
     Gaussian numerators (lists of Python ints) over one denominator; t's
     support is read a bounded number of entries at a time."""
-    support = np.array(t.support, dtype=np.int64)
-    distinct, index = distinct_objects(t.entries[flat] for flat in t.support)
-    t_re, t_im, den = gaussian_integers(distinct)
+    support, (t_re, t_im, den) = t.support, t.values
     # each probe product x_a y_b z_c is at most 25^3
-    dtype = _int_dtype(_PROBE_MAX ** 3 * len(index) * max(map(abs, t_re + t_im), default=0))
-    coefficients = np.array([t_re, t_im], dtype=dtype)[:, index].T
+    dtype = _int_dtype(_PROBE_MAX ** 3 * len(support) * _max_abs(t.values))
+    coefficients = np.stack([t_re, t_im], axis=1).astype(dtype)
     values = np.zeros((len(xs[0]), 2), dtype=dtype)
     step = max(1, _CHUNK_SCALARS // len(xs[0]))
     for first in range(0, len(support), step):
@@ -741,11 +680,7 @@ def hyperdeterminant_2x2x2(t: Tensor3):
     if t.dims != (2, 2, 2):
         raise InputError(f"hyperdeterminant needs dims (2, 2, 2), got {t.dims}")
 
-    def e(a, b, c):
-        return t[(a, b, c)]
-
-    t000, t001, t010, t011 = e(0, 0, 0), e(0, 0, 1), e(0, 1, 0), e(0, 1, 1)
-    t100, t101, t110, t111 = e(1, 0, 0), e(1, 0, 1), e(1, 1, 0), e(1, 1, 1)
+    t000, t001, t010, t011, t100, t101, t110, t111 = t.entries
     squares = (t000 * t000 * t111 * t111 + t001 * t001 * t110 * t110
                + t010 * t010 * t101 * t101 + t100 * t100 * t011 * t011)
     pairs = (t000 * t001 * t110 * t111 + t000 * t010 * t101 * t111
@@ -801,10 +736,8 @@ class RankFacts:
     def lookup(self, t: Tensor3) -> tuple[str, RankFact] | None:
         """Exact-match a tensor against the registered states."""
         da, db, dc = t.dims
-        if da == db == dc:
-            ghz = builtin_state("GHZ", da)
-            if t == ghz:
-                return (f"GHZ({da})", RankFact(da, "diagonal state: rank equals level count"))
+        if da == db == dc and t == builtin_state("GHZ", da):
+            return (f"GHZ({da})", RankFact(da, "diagonal state: rank equals level count"))
         if t.dims == (2, 2, 2) and t == builtin_state("W"):
             return ("W", self._named["W"])
         if t.dims == (4, 4, 4) and t == builtin_state("PHI3"):
@@ -889,15 +822,12 @@ def rationalize_factors(dims, factors, max_denominator: int = 64):
     result exactly; this function only proposes a candidate.
     """
     a, b, c = (np.array(f, dtype=np.complex128, copy=True) for f in factors)
-    r = a.shape[1]
-    for k in range(r):
-        for f, absorb in ((a, True), (b, True)):
-            col = f[:, k]
-            peak = col[np.argmax(np.abs(col))]
-            if peak == 0:
-                return None
-            f[:, k] = col / peak
-            c[:, k] = c[:, k] * peak
+    for f in (a, b):
+        peaks = f[np.argmax(np.abs(f), axis=0), np.arange(f.shape[1])]
+        if not peaks.all():
+            return None
+        f /= peaks
+        c *= peaks
 
     def round_entry(z):
         re = Fraction(float(z.real)).limit_denominator(max_denominator)
@@ -906,17 +836,10 @@ def rationalize_factors(dims, factors, max_denominator: int = 64):
             return None
         return Scalar(re, im)
 
-    terms = []
-    for k in range(r):
-        vecs = []
-        for f in (a, b, c):
-            v = tuple(round_entry(z) for z in f[:, k])
-            if any(x is None for x in v):
-                return None
-            vecs.append(v)
-        if not all(any(v) for v in vecs):
-            return None
-        terms.append(tuple(vecs))
+    terms = [[tuple(map(round_entry, f[:, k])) for f in (a, b, c)] for k in range(a.shape[1])]
+    vectors = [v for term in terms for v in term]
+    if any(x is None for v in vectors for x in v) or not all(map(any, vectors)):
+        return None
     return make_decomposition(dims, terms)
 
 
@@ -954,25 +877,32 @@ def decomposition_from_json(obj: dict) -> ProductDecomposition:
     if obj.get("exact", True) is False:
         raise InputError("float decomposition cannot be loaded as an exact witness")
     dims = json_ints(obj.get("dims"), 3, "decomposition JSON dims")
-    terms = []
-    memo = {}
-    try:
+    lengths = []
+
+    def values():  # term by term, each term's a, b and c vectors
         for item in obj["terms"]:
-            terms.append(tuple(
-                tuple(scalar_from_json(v, memo) for v in item[leg]) for leg in ("a", "b", "c")
-            ))
+            vectors = []
+            for leg in ("a", "b", "c"):
+                vectors.append(list(item[leg]))
+                yield from vectors[-1]
+            lengths.append(tuple(map(len, vectors)))
+
+    try:
+        re, im, den = gaussian_from_json(values())
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed decomposition JSON: {exc!r}") from exc
-    return make_decomposition(dims, terms)
+
+    def stored(dims):  # each leg's columns of the term-major values
+        dtype = _int_dtype(max(map(abs, re + im), default=0))
+        parts = [np.array(x, dtype=dtype).reshape(len(lengths), sum(dims)) for x in (re, im)]
+        bounds = np.cumsum((0, *dims)).tolist()
+        return ArrayTerms(_lowest(*(x[:, lo:hi] for x in parts), den)
+                          for lo, hi in zip(bounds, bounds[1:]))
+
+    return _validated(dims, lengths, stored)
 
 
 def float_decomposition_to_json(dims, factors) -> dict:
-    a, b, c = factors
-    terms = []
-    for k in range(a.shape[1]):
-        terms.append({
-            "a": [{"re": float(z.real), "im": float(z.imag)} for z in a[:, k]],
-            "b": [{"re": float(z.real), "im": float(z.imag)} for z in b[:, k]],
-            "c": [{"re": float(z.real), "im": float(z.imag)} for z in c[:, k]],
-        })
+    terms = [{leg: [{"re": float(z.real), "im": float(z.imag)} for z in f[:, k]]
+              for leg, f in zip("abc", factors)} for k in range(factors[0].shape[1])]
     return {"dims": list(dims), "exact": False, "terms": terms}

@@ -8,18 +8,10 @@ ranks, determinants and inverses carry no tolerance anywhere.
 from __future__ import annotations
 
 from .errors import InputError
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 Matrix = "tuple[tuple[Scalar, ...], ...]"
 Vector = "tuple[Scalar, ...]"
-
-
-def matrix(rows) -> tuple:
-    """Build an immutable Scalar matrix from any nested iterable."""
-    out = tuple(tuple(as_scalar(x) for x in row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise InputError("ragged rows in matrix")
-    return out
 
 
 def identity(n: int) -> tuple:

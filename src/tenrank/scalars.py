@@ -5,12 +5,21 @@ Gaussian rationals, so every reconstruction and comparison is bit-exact.
 `fractions.Fraction` supplies the rational arithmetic (lowest terms,
 positive denominators); this module adds the complex structure and the
 JSON encoding used by all file formats ("p/q" fraction strings).
+
+Arrays of exact values are held as Gaussian integers: `Leg` numerator
+arrays over one least common denominator, the one array format of tensors
+and decompositions, which this module converts to and from Scalars and
+JSON.
 """
 
 from __future__ import annotations
 
 import math
+import re as regex
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InputError
 
@@ -90,13 +99,6 @@ class Scalar:
     def __neg__(self):
         return Scalar(-self.re, -self.im)
 
-    def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
     # -- predicates and conversions -----------------------------------------
 
     def __bool__(self):
@@ -150,10 +152,19 @@ def gaussian_integers(values) -> tuple[list, list, int]:
     """Exact scalars as Gaussian integers over one common denominator:
     (re, im, den) with values[k] == (re[k] + im[k] i) / den, den the least
     common denominator of every part (1 for no values)."""
-    values = [as_scalar(v) for v in values]
-    den = math.lcm(*{part.denominator for v in values for part in (v.re, v.im)})
-    return ([v.re.numerator * (den // v.re.denominator) for v in values],
-            [v.im.numerator * (den // v.im.denominator) for v in values], den)
+    return _over_lcm([(v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator)
+                      for v in map(as_scalar, values)])
+
+
+def _over_lcm(parts) -> tuple[list, list, int]:
+    """(re numerator, re denominator, im numerator, im denominator) parts as
+    (re, im, den) over their least common denominator."""
+    re, re_den, im, im_den = zip(*parts) if parts else ((),) * 4
+    den = math.lcm(*{*re_den, *im_den})
+    if den == 1:
+        return list(re), list(im), 1
+    return ([n * (den // d) for n, d in zip(re, re_den)],
+            [n * (den // d) for n, d in zip(im, im_den)], den)
 
 
 def from_gaussian(re: int, im: int, den: int) -> Scalar:
@@ -161,17 +172,61 @@ def from_gaussian(re: int, im: int, den: int) -> Scalar:
     return Scalar(Fraction(re, den), Fraction(im, den))
 
 
-def distinct_objects(values) -> tuple[list, list]:
-    """(distinct, index): the distinct objects among values, told apart by
-    identity and listed in first-seen order, and for each value its
-    position in that list, so values[k] is distinct[index[k]].  Work done
-    per distinct object is done once for objects shared across a document,
-    as the JSON decode memo shares its Scalars."""
-    values = list(values)  # keeps every object, and with it its id, alive
-    ids = list(map(id, values))
-    first = dict(zip(ids, values))
-    positions = dict(zip(first, range(len(first))))
-    return list(first.values()), list(map(positions.__getitem__, ids))
+# -- Gaussian-integer arrays ---------------------------------------------------
+
+
+class Leg(NamedTuple):
+    """Exact values as arrays of their real and imaginary numerators over
+    their least common denominator `den`, int64 when every numerator is
+    below 2^62 and Python ints (dtype object) otherwise.  One leg of r
+    product terms is an r x dim pair; the nonzeros of a tensor are one
+    flat pair."""
+
+    re: np.ndarray
+    im: np.ndarray
+    den: int
+
+
+def _int_dtype(bound: int):
+    """int64 when `bound`, a bound on the absolute value of every integer
+    and partial result involved, is below 2^62; Python ints (dtype object)
+    otherwise, so nothing wraps."""
+    return np.int64 if bound < 1 << 62 else object
+
+
+def _to_leg(values, shape) -> Leg:
+    """Exact values (Scalars, ints, Fractions or "p/q" strings, row-major)
+    as a Leg of the given shape."""
+    re, im, den = gaussian_integers(values)
+    dtype = _int_dtype(max(map(abs, re + im), default=0))
+    return Leg(*(np.array(part, dtype=dtype).reshape(shape) for part in (re, im)), den)
+
+
+def _lowest(re: np.ndarray, im: np.ndarray, den: int) -> Leg:
+    """Numerator arrays over den as a new Leg in lowest terms."""
+    if re.dtype == im.dtype == np.int64:
+        common = math.gcd(*(int(np.gcd.reduce(part, axis=None)) for part in (re, im)))
+    else:
+        common = math.gcd(*re.ravel().tolist(), *im.ravel().tolist())
+    g = math.gcd(den, common)
+    if common and g > 1:  # all-zero numerators (common 0) stay as they are
+        re, im = re // g, im // g
+    dtype = _int_dtype(_max_abs(Leg(re, im, den)))
+    return Leg(re.astype(dtype), im.astype(dtype), den // g)
+
+
+def _max_abs(leg: Leg) -> int:
+    return max((int(abs(part).max()) for part in (leg.re, leg.im) if part.size), default=0)
+
+
+def _mapped(m, leg: Leg) -> Leg:
+    """`leg` with every vector along its last axis mapped by the exact
+    matrix m, in integers and in lowest terms."""
+    op = _to_leg([x for row in m for x in row], (len(m), len(m[0]) if m else 0))
+    # zeros count as 1, so every numerator also lies below the bound
+    dtype = _int_dtype(2 * op.re.shape[1] * (_max_abs(op) or 1) * (_max_abs(leg) or 1))
+    xr, xi, mr, mi = (part.astype(dtype) for part in (leg.re, leg.im, op.re.T, op.im.T))
+    return _lowest(xr @ mr - xi @ mi, xr @ mi + xi @ mr, leg.den * op.den)
 
 
 # -- JSON encoding -----------------------------------------------------------
@@ -187,52 +242,78 @@ def scalar_to_json(value: Scalar):
     return {"re": format_rational(value.re), "im": format_rational(value.im)}
 
 
+def ratio_text(n: int, den: int) -> str:
+    """format_rational(Fraction(n, den)) for den > 0, without the Fraction."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def gaussian_to_json(re: int, im: int, den: int):
     """scalar_to_json(from_gaussian(re, im, den)) for den > 0, formatted
     from the integers without building the Scalar."""
-    def text(n):
-        g = math.gcd(n, den)
-        return str(n // g) if g == den else f"{n // g}/{den // g}"
-
-    return text(re) if not im else {"re": text(re), "im": text(im)}
+    if not im:
+        return ratio_text(re, den)
+    return {"re": ratio_text(re, den), "im": ratio_text(im, den)}
 
 
-def scalar_from_json(obj, memo: dict | None = None) -> Scalar:
+def scalar_from_json(obj) -> Scalar:
     """Decode an exact scalar from its JSON form (InputError otherwise).
 
     JSON booleans and floats are rejected, never read as 0, 1 or a nearby
-    rational.  `memo` is a dict the caller keeps for one document: each
-    string form ("p/q", or the "re"/"im" pair of strings) decodes once and
-    its immutable Scalar is reused; a failure is never stored, so every
-    malformed occurrence raises.
+    rational.
     """
-    if memo is None:
-        return _decode_scalar(obj)
-    if type(obj) is str:
-        key = obj
-    elif type(obj) is dict and type(obj.get("re")) is str and type(obj.get("im")) is str:
-        key = (obj["re"], obj["im"])
+    re, re_den, im, im_den = _json_parts(obj, {})
+    return Scalar(Fraction(re, re_den), Fraction(im, im_den))
+
+
+def gaussian_from_json(values) -> tuple[list, list, int]:
+    """JSON scalars as Gaussian integers over their least common
+    denominator: (re, im, den) as gaussian_integers gives it for the
+    Scalars scalar_from_json decodes, with the same errors, and no Scalar
+    built.  `values` is read once, in order, so a malformed value raises
+    where a one-by-one decode would; each distinct string is parsed once."""
+    memo, decoded = {}, {}  # parts by string; whole values by JSON string
+    return _over_lcm([decoded.get(obj) or decoded.setdefault(obj, _json_parts(obj, memo))
+                      if type(obj) is str else _json_parts(obj, memo) for obj in values])
+
+
+def _json_parts(obj, memo: dict) -> tuple:
+    """(re numerator, re denominator, im numerator, im denominator) of a
+    JSON scalar, each part in lowest terms."""
+    if type(obj) is not dict:
+        if type(obj) not in (int, str):
+            raise InputError(f"invalid scalar encoding: {obj!r}")
+        return (*_rational(obj, memo), 0, 1)
+    re, im = obj.get("re", 0), obj.get("im", 0)
+    if isinstance(re, float) or isinstance(im, float):
+        raise InputError("float scalar where an exact rational is required")
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise InputError("boolean scalar where an exact rational is required")
+    return (*_rational(re, memo), *_rational(im, memo))
+
+
+#: rational strings read without Fraction: ASCII digits with an optional
+#: minus sign and an optional "/" denominator
+_RATIO = regex.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(part, memo: dict) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of a JSON int or rational
+    string, with the values and errors of parse_rational; each distinct
+    string is parsed once per memo."""
+    if type(part) is int:
+        return part, 1
+    if type(part) is str and part in memo:
+        return memo[part]
+    match = type(part) is str and _RATIO.fullmatch(part)
+    try:
+        num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+    except ValueError:  # past int's digit limit, which parse_rational reports
+        den = 0
+    if den:
+        g = math.gcd(num, den)
+        memo[part] = num // g, den // g
     else:
-        return _decode_scalar(obj)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _decode_scalar(obj)
-    return value
-
-
-def _decode_scalar(obj) -> Scalar:
-    if isinstance(obj, str):
-        return Scalar(parse_rational(obj))
-    if type(obj) is int:
-        return Scalar(obj)
-    if isinstance(obj, dict):
-        re, im = obj.get("re", 0), obj.get("im", 0)
-        if isinstance(re, float) or isinstance(im, float):
-            raise InputError("float scalar where an exact rational is required")
-        if isinstance(re, bool) or isinstance(im, bool):
-            raise InputError("boolean scalar where an exact rational is required")
-        return Scalar(
-            re if isinstance(re, int) else parse_rational(re),
-            im if isinstance(im, int) else parse_rational(im),
-        )
-    raise InputError(f"invalid scalar encoding: {obj!r}")
+        value = parse_rational(part)
+        memo[part] = value.numerator, value.denominator
+    return memo[part]

@@ -22,6 +22,7 @@ from .als import AlsConfig
 from .decomp import (
     ProductDecomposition,
     als_search,
+    builtin_state,
     hyperdeterminant_2x2x2,
     rank_bounds,
     rationalize_result,
@@ -31,7 +32,7 @@ from .decomp import (
 )
 from .errors import InputError, ResourceError
 from .scalars import ZERO, from_gaussian
-from .tensors import LocalOperatorTriple, Tensor3, dense_dims, flattening_rank, flattening_ranks
+from .tensors import LocalOperatorTriple, Tensor3, flattening_rank, flattening_ranks
 
 #: dense protocol operators are only assembled up to this GHZ level
 PROTOCOL_DIM_CAP = 1 << 14
@@ -141,17 +142,6 @@ def apply_float_ops(ops, source: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ghz_array(n: int) -> np.ndarray:
-    """GHZ(n) as the dense complex array `Tensor3.to_numpy` gives for
-    `builtin_state("GHZ", n)`, built without the exact tensor (subject to
-    the same entry cap)."""
-    dense_dims((n, n, n))
-    arr = np.zeros((n, n, n), dtype=np.complex128)
-    diagonal = np.arange(n)
-    arr[diagonal, diagonal, diagonal] = 1
-    return arr
-
-
 def simulate(p: SloccProtocol, source: Tensor3 | None = None) -> tuple:
     """Apply the scaled protocol operators to a source state.
 
@@ -162,7 +152,7 @@ def simulate(p: SloccProtocol, source: Tensor3 | None = None) -> tuple:
     accuracy.
     """
     if source is None:
-        src = _ghz_array(p.source_dim)
+        src = builtin_state("GHZ", p.source_dim).to_numpy()
     elif source.dims != p.input_dims():
         raise InputError(f"source dims {source.dims} do not match protocol input "
                          f"{p.input_dims()}")

@@ -1,12 +1,14 @@
-"""Dense order-3 tensors over exact scalars.
+"""Order-3 tensors over exact scalars.
 
-A Tensor3 stores an unnormalized tripartite state as a flat tuple in
-row-major order: the A index is slowest, the C index fastest, together with
-its support, the ascending flat indices of its nonzero entries, so sparse
-states are read in time proportional to their nonzeros.  Kronecker
-products put the first factor in the high-order digit.  Both conventions
-are load-bearing for every builtin state and decomposition, so they are
-fixed here and locked by golden tests.
+A Tensor3 stores an unnormalized tripartite state sparsely: its dims, its
+support (the ascending row-major flat indices of its nonzero entries, the
+A index slowest and the C index fastest) and the nonzero values as one
+`Leg` of Gaussian-integer numerators over their least common denominator.
+Every exact reader works on these integers, in time proportional to the
+nonzeros; Scalars are built only when entries are read one by one.
+Kronecker products put the first factor in the high-order digit.  Both
+conventions are load-bearing for every builtin state and decomposition,
+so they are fixed here and locked by golden tests.
 
 Tensors are immutable values and all operations are pure functions; they
 are safe to share freely across threads.
@@ -14,6 +16,8 @@ are safe to share freely across threads.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,16 +26,22 @@ import numpy as np
 from . import linalg
 from .errors import InputError, ResourceError
 from .scalars import (
-    Scalar,
     ZERO,
+    Leg,
+    Scalar,
+    _int_dtype,
+    _lowest,
+    _mapped,
+    _max_abs,
+    _to_leg,
     as_scalar,
-    distinct_objects,
-    gaussian_integers,
-    scalar_from_json,
+    from_gaussian,
+    gaussian_from_json,
+    ratio_text,
 )
 
-#: Hard cap on dense storage; anything larger is handled symbolically
-#: through decompositions and never materialized.
+#: Hard cap on a tensor's entry count, zeros included (the product of its
+#: dims); anything larger is handled symbolically through decompositions.
 ENTRY_CAP = 1 << 21
 
 LEGS = ("A", "B", "C")
@@ -51,109 +61,122 @@ def dense_dims(dims) -> tuple[int, int, int]:
 
 
 class Tensor3:
-    """Immutable dense order-3 tensor of exact scalars.
+    """Immutable order-3 tensor of exact scalars, held as `dims`, the int64
+    array `support` of the ascending flat indices of its nonzero entries
+    and the Leg `values` of their numerators, in lowest terms.
 
-    The support is recorded by `make_tensor` and computed on first use,
-    once, for a tensor built from dense entries; equality and hashing read
-    only `dims` and `entries`.
+    `Tensor3(dims, entries)` builds one from the dense row-major sequence
+    of all entries; `entries`, indexing and `nonzeros` build Scalars on
+    access.  Equality and hashing read the canonical arrays and compare
+    values.
     """
 
-    __slots__ = ("dims", "entries", "_support")
+    __slots__ = ("dims", "support", "values")
 
     def __init__(self, dims, entries):
         dims = dense_dims(dims)
         entries = tuple(entries)
-        if len(entries) != dims[0] * dims[1] * dims[2]:
-            raise InputError(
-                f"entry count {len(entries)} does not match dims {dims}"
-            )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
+        if len(entries) != math.prod(dims):
+            raise InputError(f"entry count {len(entries)} does not match dims {dims}")
+        entries = list(map(as_scalar, entries))
+        support = [flat for flat, x in enumerate(entries) if x]
+        self._set(dims, support, _to_leg([entries[flat] for flat in support], len(support)))
+
+    def _set(self, dims, support, values: Leg):
+        support = np.asarray(support, dtype=np.int64)
+        for array in (support, values.re, values.im):
+            array.flags.writeable = False
+        for name, value in zip(self.__slots__, (dims, support, values)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_numerators(cls, dims, support, re, im, den) -> "Tensor3":
+        """The tensor with entries (re + im i) / den at the distinct flat
+        indices `support`, zeros dropped and the rest in lowest terms."""
+        support, re, im = (np.asarray(x) for x in (support, re, im))
+        keep = np.flatnonzero((re != 0) | (im != 0))
+        keep = keep[np.argsort(support[keep])]
+        t = object.__new__(cls)
+        t._set(dims, support[keep], _lowest(re[keep], im[keep], den))
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
 
-    def _offset(self, a: int, b: int, c: int) -> int:
-        _, db, dc = self.dims
-        return (a * db + b) * dc + c
+    def _scalars(self) -> list:
+        re, im, den = self.values
+        return list(map(from_gaussian, re.tolist(), im.tolist(), itertools.repeat(den)))
+
+    def _indices(self) -> list:
+        """The (a, b, c) index of every nonzero entry, row-major."""
+        return list(zip(*(axis.tolist() for axis in np.unravel_index(self.support, self.dims))))
+
+    @property
+    def entries(self) -> tuple:
+        """Every entry as a Scalar, in a flat row-major tuple."""
+        entries = np.full(math.prod(self.dims), ZERO, dtype=object)
+        entries[self.support] = self._scalars()
+        return tuple(entries.tolist())
 
     def __getitem__(self, index) -> Scalar:
-        a, b, c = index
-        da, db, dc = self.dims
-        if not (0 <= a < da and 0 <= b < db and 0 <= c < dc):
-            raise InputError(f"index {index} out of range for dims {self.dims}")
-        return self.entries[self._offset(a, b, c)]
+        (flat,) = _by_offset(self.dims, [(index, None)], bool)  # checks the range
+        k = int(np.searchsorted(self.support, flat))
+        if k == len(self.support) or self.support[k] != flat:
+            return ZERO
+        re, im, den = self.values
+        return from_gaussian(int(re[k]), int(im[k]), den)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented
-        return self.dims == other.dims and self.entries == other.entries
+        return (self.dims == other.dims and self.values.den == other.values.den
+                and all(map(np.array_equal, (self.support, *self.values[:2]),
+                            (other.support, *other.values[:2]))))
 
     def __hash__(self):
-        return hash((self.dims, self.entries))
-
-    def __add__(self, other):
-        if self.dims != other.dims:
-            raise InputError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return Tensor3(self.dims, tuple(x + y for x, y in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        if self.dims != other.dims:
-            raise InputError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return Tensor3(self.dims, tuple(x - y for x, y in zip(self.entries, other.entries)))
-
-    @property
-    def support(self) -> tuple:
-        """The flat row-major indices of the nonzero entries, ascending."""
-        try:
-            return self._support
-        except AttributeError:
-            # dense constructions fill structural zeros with the shared
-            # ZERO: skipping it by identity avoids Scalar.__bool__ there
-            support = tuple(flat for flat, x in enumerate(self.entries)
-                            if x is not ZERO and x)
-            object.__setattr__(self, "_support", support)
-            return support
+        re, im, den = self.values
+        return hash((self.dims, den, self.support.tobytes(), tuple(re.tolist()),
+                     tuple(im.tolist())))
 
     def is_zero(self) -> bool:
-        return not self.support
+        return not len(self.support)
 
     def nonzeros(self):
         """Yield ((a, b, c), value) for every nonzero entry, row-major."""
-        _, db, dc = self.dims
-        entries = self.entries
-        for flat in self.support:
-            a, rest = divmod(flat, db * dc)
-            b, c = divmod(rest, dc)
-            yield (a, b, c), entries[flat]
+        return zip(self._indices(), self._scalars())
 
     def nnz(self) -> int:
         return len(self.support)
 
     def to_numpy(self) -> np.ndarray:
-        entries, support = self.entries, list(self.support)
-        arr = np.zeros(len(entries), dtype=np.complex128)
+        """The entries as a complex128 array of shape dims, each the
+        complex() of its Scalar: the numerators and den are divided as
+        floats while all are below 2^53, where that division is exact up
+        to one correct rounding, and as Python ints otherwise."""
+        re, im, den = self.values
+        arr = np.zeros(self.dims, dtype=np.complex128)
+        flat = arr.reshape(-1)
+        if max(_max_abs(self.values), den) < 1 << 53:
+            flat.real[self.support], flat.imag[self.support] = re / den, im / den
+            return arr
         try:
-            arr[support] = [complex(entries[flat]) for flat in support]
+            flat[self.support] = [complex(x / den, y / den) for x, y in zip(re.tolist(), im.tolist())]
         except OverflowError as exc:
             raise ResourceError(f"tensor entry exceeds the float range: {exc}") from exc
-        return arr.reshape(self.dims)
+        return arr
 
     def norm_sq(self) -> Fraction:
         """Exact squared Frobenius norm: the squared Gaussian-integer
         numerators of the nonzeros, summed over one den^2."""
-        entries = self.entries
-        distinct, index = distinct_objects(entries[flat] for flat in self.support)
-        re, im, den = gaussian_integers(distinct)
-        squares = [x * x + y * y for x, y in zip(re, im)]
-        return Fraction(sum(squares[k] for k in index), den * den)
+        re, im, den = self.values
+        return Fraction(sum(x * x for x in re.tolist() + im.tolist()), den * den)
 
     def __repr__(self):
         return f"Tensor3(dims={self.dims}, nnz={self.nnz()})"
 
 
 def make_tensor(dims, entries) -> Tensor3:
-    """Build a dense Tensor3 from a sparse entry list.
+    """Build a Tensor3 from a sparse entry list.
 
     `entries` is a mapping {(a, b, c): value} or an iterable of
     ((a, b, c), value) pairs; values may be Scalars, ints, Fractions or
@@ -161,26 +184,26 @@ def make_tensor(dims, entries) -> Tensor3:
     indices raise InputError.  The dims are checked before `entries` is
     read, so a lazy iterable is never consumed for a refused size.
     """
-    da, db, dc = dims = dense_dims(dims)
-    flat = [ZERO] * (da * db * dc)
-    seen = set()
-    support = []
-    items = entries.items() if hasattr(entries, "items") else entries
+    dims = dense_dims(dims)
+    values = _by_offset(dims, entries.items() if hasattr(entries, "items") else entries,
+                        as_scalar)
+    return Tensor3._from_numerators(dims, list(values), *_to_leg(values.values(), len(values)))
+
+
+def _by_offset(dims, items, convert) -> dict:
+    """{flat row-major offset: convert(value)} for the (index, value) items,
+    read in order; InputError for an index out of range or repeated."""
+    da, db, dc = dims
+    out = {}
     for index, value in items:
         a, b, c = index
         if not (0 <= a < da and 0 <= b < db and 0 <= c < dc):
             raise InputError(f"index {tuple(index)} out of range for dims {tuple(dims)}")
-        if (a, b, c) in seen:
-            raise InputError(f"duplicate index {(a, b, c)}")
-        seen.add((a, b, c))
         offset = (a * db + b) * dc + c
-        flat[offset] = value = as_scalar(value)
-        if value:
-            support.append(offset)
-    t = Tensor3(dims, flat)
-    support.sort()
-    object.__setattr__(t, "_support", tuple(support))
-    return t
+        if offset in out:
+            raise InputError(f"duplicate index {tuple(index)}")
+        out[offset] = convert(value)
+    return out
 
 
 def zero_tensor(dims) -> Tensor3:
@@ -190,11 +213,20 @@ def zero_tensor(dims) -> Tensor3:
 def tensor_product(t1: Tensor3, t2: Tensor3) -> Tensor3:
     """Leg-wise Kronecker product: dims multiply per leg and
     (x⊗y⊗z)·(u⊗v⊗w) = (x⊗u)⊗(y⊗v)⊗(z⊗w)."""
-    da1, db1, dc1 = t1.dims
-    da2, db2, dc2 = t2.dims
-    return make_tensor((da1 * da2, db1 * db2, dc1 * dc2), (
-        ((a1 * da2 + a2, b1 * db2 + b2, c1 * dc2 + c2), v1 * v2)
-        for (a1, b1, c1), v1 in t1.nonzeros() for (a2, b2, c2), v2 in t2.nonzeros()))
+    dims = dense_dims(tuple(d1 * d2 for d1, d2 in zip(t1.dims, t2.dims)))
+    # every pair of nonzeros, the first factor's index the high digit per leg
+    flat = np.ravel_multi_index(
+        [np.add.outer(i1 * d2, i2).ravel() for i1, i2, d2 in zip(
+            np.unravel_index(t1.support, t1.dims), np.unravel_index(t2.support, t2.dims),
+            t2.dims)], dims)
+    # a tensor of zeros counts as 1, so every numerator also lies below the bound
+    dtype = _int_dtype(2 * (_max_abs(t1.values) or 1) * (_max_abs(t2.values) or 1))
+    (r1, i1), (r2, i2) = ((leg.re.astype(dtype), leg.im.astype(dtype))
+                          for leg in (t1.values, t2.values))
+    re, im = (np.multiply.outer(r1, r2) - np.multiply.outer(i1, i2),
+              np.multiply.outer(r1, i2) + np.multiply.outer(i1, r2))
+    return Tensor3._from_numerators(dims, flat, re.ravel(), im.ravel(),
+                                    t1.values.den * t2.values.den)
 
 
 def flattening(t: Tensor3, leg: str) -> tuple:
@@ -206,14 +238,8 @@ def flattening(t: Tensor3, leg: str) -> tuple:
     if leg not in LEGS:
         raise InputError(f"unknown leg {leg!r}, expected one of {LEGS}")
     axis = LEGS.index(leg)
-    _, db, dc = dims = t.dims
-    strides = (db * dc, dc, 1)
-    (d1, s1), (d2, s2) = [(dims[k], strides[k]) for k in range(3) if k != axis]
-    # the offsets of one row's entries, shifted by each row's first offset
-    columns = [i * s1 + j * s2 for i in range(d1) for j in range(d2)]
-    e = t.entries
-    return tuple(tuple(e[base + offset] for offset in columns)
-                 for base in range(0, dims[axis] * strides[axis], strides[axis]))
+    entries = np.moveaxis(np.array(t.entries, dtype=object).reshape(t.dims), axis, 0)
+    return tuple(map(tuple, entries.reshape(t.dims[axis], -1).tolist()))
 
 
 #: the prime of the modular flattening rank: p = 1 (mod 4), so -1 has the
@@ -225,15 +251,11 @@ SQRT_MINUS_ONE = 1518275076
 
 def _residues(t: Tensor3) -> np.ndarray:
     """t's Gaussian-integer numerators over their common denominator sent
-    to F_p by i -> SQRT_MINUS_ONE, as an int64 array of shape t.dims.  Each
-    distinct entry object is reduced once."""
-    support = list(t.support)
-    distinct, index = distinct_objects(t.entries[flat] for flat in support)
-    re, im, _ = gaussian_integers(distinct)
-    values = np.array([(x + SQRT_MINUS_ONE * y) % PRIME for x, y in zip(re, im)],
-                      dtype=np.int64)
-    out = np.zeros(len(t.entries), dtype=np.int64)
-    out[support] = values[index]
+    to F_p by i -> SQRT_MINUS_ONE, as an int64 array of shape t.dims.  Both
+    parts are reduced before they are combined, so int64 never wraps."""
+    re, im, _ = t.values
+    out = np.zeros(math.prod(t.dims), dtype=np.int64)
+    out[t.support] = (re % PRIME + SQRT_MINUS_ONE * (im % PRIME)) % PRIME
     return out.reshape(t.dims)
 
 
@@ -301,13 +323,9 @@ def support_basis(t: Tensor3) -> list:
     exactly flattening_rank(T, "C") elements and spans the same space as
     the support of the two-party reduced state on legs A and B.
     """
-    da, db, dc = t.dims
-    rows = flattening(t, "C")
-    reduced, _ = linalg.rref(rows)
-    return [
-        tuple(tuple(row[a * db + b] for b in range(db)) for a in range(da))
-        for row in reduced
-    ]
+    da, db, _ = t.dims
+    reduced, _ = linalg.rref(flattening(t, "C"))
+    return [tuple(row[a * db:(a + 1) * db] for a in range(da)) for row in reduced]
 
 
 @dataclass(frozen=True)
@@ -319,57 +337,36 @@ class LocalOperatorTriple:
     C: tuple
 
     def input_dims(self) -> tuple[int, int, int]:
-        return (
-            linalg.shape(self.A)[1],
-            linalg.shape(self.B)[1],
-            linalg.shape(self.C)[1],
-        )
+        return tuple(linalg.shape(m)[1] for m in (self.A, self.B, self.C))
 
     def output_dims(self) -> tuple[int, int, int]:
-        return (
-            linalg.shape(self.A)[0],
-            linalg.shape(self.B)[0],
-            linalg.shape(self.C)[0],
-        )
+        return tuple(linalg.shape(m)[0] for m in (self.A, self.B, self.C))
 
 
 def identity_triple(dims) -> LocalOperatorTriple:
-    da, db, dc = dims
-    return LocalOperatorTriple(
-        linalg.identity(da), linalg.identity(db), linalg.identity(dc)
-    )
+    return LocalOperatorTriple(*map(linalg.identity, dims))
 
 
 def apply_local_operators(ops: LocalOperatorTriple, t: Tensor3) -> Tensor3:
     """Contract (A ⊗ B ⊗ C) against all three legs of T, exactly.
 
-    Iterates the nonzero entries of T against precomputed nonzero operator
-    columns, so sparse states transform cheaply even under dense operators.
+    T's Gaussian-integer numerators are mapped by one operator at a time,
+    the legs whose operator has fewer rows than columns first, so no
+    intermediate array is larger than the input or the output.
     """
     if ops.input_dims() != t.dims:
         raise InputError(
             f"operator input dims {ops.input_dims()} do not match tensor dims {t.dims}"
         )
     out_dims = dense_dims(ops.output_dims())
-
-    def columns(m):
-        rows, cols = linalg.shape(m)
-        return [
-            [(i, m[i][j]) for i in range(rows) if m[i][j]] for j in range(cols)
-        ]
-
-    cols_a, cols_b, cols_c = columns(ops.A), columns(ops.B), columns(ops.C)
-    _, db_out, dc_out = out_dims
-    acc = [ZERO] * (out_dims[0] * db_out * dc_out)
-    for (a, b, c), value in t.nonzeros():
-        for i, ai in cols_a[a]:
-            vai = value * ai
-            for j, bj in cols_b[b]:
-                vab = vai * bj
-                for k, ck in cols_c[c]:
-                    idx = (i * db_out + j) * dc_out + k
-                    acc[idx] = acc[idx] + vab * ck
-    return Tensor3(out_dims, acc)
+    x = Leg(*(np.zeros(t.dims, dtype=part.dtype) for part in t.values[:2]), t.values.den)
+    x.re.flat[t.support], x.im.flat[t.support] = t.values.re, t.values.im
+    for axis in sorted(range(3), key=lambda k: out_dims[k] > t.dims[k]):
+        y = _mapped((ops.A, ops.B, ops.C)[axis],
+                    Leg(*(part.swapaxes(axis, -1) for part in x[:2]), x.den))
+        x = Leg(*(part.swapaxes(axis, -1) for part in y[:2]), y.den)
+    return Tensor3._from_numerators(out_dims, np.arange(x.re.size), x.re.ravel(),
+                                    x.im.ravel(), x.den)
 
 
 def contract(t: Tensor3, x, y, z) -> Scalar:
@@ -403,11 +400,12 @@ def json_ints(value, count: int, what: str) -> tuple:
 
 
 def tensor_to_json(t: Tensor3) -> dict:
+    re, im, den = t.values
     entries = []
-    for (a, b, c), value in t.nonzeros():
-        item = {"i": [a, b, c], "re": str(value.re)}
-        if value.im:
-            item["im"] = str(value.im)
+    for index, x, y in zip(t._indices(), re.tolist(), im.tolist()):
+        item = {"i": list(index), "re": ratio_text(x, den)}
+        if y:
+            item["im"] = ratio_text(y, den)
         entries.append(item)
     return {"dims": list(t.dims), "entries": entries}
 
@@ -416,14 +414,19 @@ def tensor_from_json(obj: dict) -> Tensor3:
     if not isinstance(obj, dict):
         raise InputError(f"tensor JSON must be an object, got {type(obj).__name__}")
     dims = json_ints(obj.get("dims"), 3, "tensor JSON dims")
-    entries = []
-    memo = {}
-    try:
+    indices = []
+
+    def items():
         for item in obj.get("entries", []):
-            index = json_ints(item["i"], 3, "tensor JSON index")
-            value = scalar_from_json({"re": item.get("re", "0"), "im": item.get("im", "0")},
-                                     memo)
-            entries.append((index, value))
+            indices.append(json_ints(item["i"], 3, "tensor JSON index"))
+            yield item
+
+    try:
+        # an entry object is read as the scalar {"re", "im"} it holds
+        re, im, den = gaussian_from_json(items())
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed tensor JSON entry: {exc!r}") from exc
-    return make_tensor(dims, entries)
+    # the entries' offsets, in entry order, once every index is checked
+    offsets = list(_by_offset(dense_dims(dims), zip(indices, re), int))
+    return Tensor3._from_numerators(dims, offsets, np.array(re, dtype=object),
+                                    np.array(im, dtype=object), den)

@@ -10,7 +10,9 @@ from fractions import Fraction
 import sympy
 
 from tenrank import linalg, sampling
+from tenrank.errors import InputError
 from tenrank.scalars import Scalar, as_scalar
+from tenrank.tensors import Tensor3, make_tensor
 
 
 def to_sympy(value: Scalar):
@@ -62,6 +64,23 @@ def oracle_outer_sum(dims, terms):
 # -- per-Scalar vector and matrix references ---------------------------------
 
 
+def conj(z: Scalar) -> Scalar:
+    return Scalar(z.re, -z.im)
+
+
+def abs2(z: Scalar) -> Fraction:
+    """|z|^2 as an exact Fraction."""
+    return z.re * z.re + z.im * z.im
+
+
+def matrix(rows):
+    """An immutable Scalar matrix from any nested iterable."""
+    out = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+    if out and any(len(row) != len(out[0]) for row in out):
+        raise InputError("ragged rows in matrix")
+    return out
+
+
 def vector(entries):
     return tuple(as_scalar(x) for x in entries)
 
@@ -85,6 +104,62 @@ def mat_mul(a, b):
 def kron_vec(x, y):
     """Kronecker product of vectors; the first factor is the high-order digit."""
     return tuple(xi * yi for xi in x for yi in y)
+
+
+# -- per-Scalar tensor references -------------------------------------------------
+#
+# The Scalar loops the Gaussian-integer array code replaced, kept as the
+# references it is compared against.
+
+
+def tensor_sum(t1, t2):
+    total = dict(t1.nonzeros())
+    for index, value in t2.nonzeros():
+        total[index] = total.get(index, Scalar(0)) + value
+    return make_tensor(t1.dims, total)
+
+
+def reference_tensor_product(t1, t2):
+    da2, db2, dc2 = t2.dims
+    return make_tensor(tuple(x * y for x, y in zip(t1.dims, t2.dims)), (
+        ((a1 * da2 + a2, b1 * db2 + b2, c1 * dc2 + c2), v1 * v2)
+        for (a1, b1, c1), v1 in t1.nonzeros() for (a2, b2, c2), v2 in t2.nonzeros()))
+
+
+def reference_apply_local_operators(ops, t):
+    """(A x B x C) T from the nonzeros of T and the nonzero operator columns."""
+    def columns(m):
+        return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m[0]))]
+
+    cols_a, cols_b, cols_c = columns(ops.A), columns(ops.B), columns(ops.C)
+    out_dims = ops.output_dims()
+    _, db, dc = out_dims
+    acc = [Scalar(0)] * (out_dims[0] * db * dc)
+    for (a, b, c), value in t.nonzeros():
+        for i, ai in cols_a[a]:
+            for j, bj in cols_b[b]:
+                for k, ck in cols_c[c]:
+                    acc[(i * db + j) * dc + k] += value * ai * bj * ck
+    return Tensor3(out_dims, acc)
+
+
+def reference_reconstruct(d):
+    """The dense sum of a decomposition's terms, Scalar by Scalar."""
+    da, db, dc = d.dims
+    acc = [Scalar(0)] * (da * db * dc)
+    for term in d.terms:
+        for i, ai in enumerate(term.a):
+            if not ai:
+                continue
+            for j, bj in enumerate(term.b):
+                if not bj:
+                    continue
+                ab = ai * bj
+                base = (i * db + j) * dc
+                for k, ck in enumerate(term.c):
+                    if ck:
+                        acc[base + k] = acc[base + k] + ab * ck
+    return Tensor3(d.dims, acc)
 
 
 # -- seeded random inputs -------------------------------------------------------

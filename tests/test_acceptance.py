@@ -12,9 +12,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import invertible_matrix, mat_mul, nonzero_vector
+from conftest import invertible_matrix, mat_mul, matrix, nonzero_vector
 
-from tenrank import linalg, sampling
+from tenrank import sampling
 from tenrank.als import AlsConfig
 from tenrank.bilinear import (
     matmul_tensor,
@@ -204,12 +204,12 @@ def test_criterion_9_bipartite_criterion():
         rng = random.Random(99)
 
         def of_rank(da, db, k):
-            left = linalg.matrix(
+            left = matrix(
                 [[1 if i == j else 0 for j in range(k)] if i < k
                  else [sampling.scalar(rng, max_num=2) for _ in range(k)]
                  for i in range(da)]
             )
-            right = linalg.matrix(
+            right = matrix(
                 [[1 if i == j else 0 if j < k else sampling.scalar(rng, max_num=2)
                   for j in range(db)] for i in range(k)]
             )

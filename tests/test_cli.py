@@ -290,21 +290,17 @@ def _ghz64_style_files(tmp_path):
 
 
 def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatch):
-    # no dense GHZ(64) tensor is built, and the numerator and JSON encoders
-    # see each distinct value of the loaded inputs at most once
+    # no dense tensor is built, the loaded target and witness hold integer
+    # arrays, and the JSON encoder sees each distinct witness value once
     from tenrank import cli, decomp, scalars, tensors
 
     tensor_file, witness_file = _ghz64_style_files(tmp_path)
-    sizes, numerator_calls, encoded, loaded = [], [], [], []
+    sizes, encoded, loaded = [], [], []
     original_init = tensors.Tensor3.__init__
 
     def init(self, dims, entries):
         sizes.append(dims[0] * dims[1] * dims[2])
         original_init(self, dims, entries)
-
-    def numerators(values):
-        numerator_calls.append(list(values))
-        return scalars.gaussian_integers(numerator_calls[-1])
 
     def encode(re, im, den):
         encoded.append(scalars.from_gaussian(re, im, den))
@@ -314,8 +310,6 @@ def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatc
         return lambda payload: loaded.append(original(payload)) or loaded[-1]
 
     monkeypatch.setattr(tensors.Tensor3, "__init__", init)
-    monkeypatch.setattr(decomp, "gaussian_integers", numerators)
-    monkeypatch.setattr(tensors, "gaussian_integers", numerators)
     monkeypatch.setattr(decomp, "gaussian_to_json", encode)
     monkeypatch.setattr(cli, "tensor_from_json", loading(cli.tensor_from_json))
     monkeypatch.setattr(cli, "decomposition_from_json", loading(cli.decomposition_from_json))
@@ -326,21 +320,18 @@ def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatc
     verdict, simulation = (json.loads(line) for line in out.splitlines())
     assert verdict["upper_bound"] == 49 and len(verdict["witness"]["terms"]) == 49
     assert simulation["fidelity"] >= 1 - 1e-10
-    assert sizes and max(sizes) < 64 ** 3
+    assert sizes == []
 
     target, witness = loaded
-    target_objects = {id(target.entries[flat]) for flat in target.support}
-    # the JSON decode shares one object per distinct string, and the witness
-    # keeps its three distinct values "0", "1", "-1" as integer numerators
-    assert len(target_objects) == 1 and isinstance(witness.terms, ArrayTerms)
+    # the target's 64 ones and the witness's three distinct values "0", "1",
+    # "-1" are kept as integer numerators
+    assert target.nnz() == 64 and target.values.den == 1
+    assert set(target.values.re.tolist()) == {1} and not target.values.im.any()
+    assert isinstance(witness.terms, ArrayTerms)
     assert {(x, y, leg.den) for leg in witness.terms.legs
             for x, y in zip(leg.re.ravel().tolist(), leg.im.ravel().tolist())} \
         == {(0, 0, 1), (1, 0, 1), (-1, 0, 1)}
-    loaded_values = {ZERO, ONE, MINUS_ONE}
-    assert numerator_calls
-    for values in numerator_calls:
-        assert len(set(values)) == len(values) and set(values) <= loaded_values
-    assert len(set(encoded)) == len(encoded) and set(encoded) <= loaded_values
+    assert len(set(encoded)) == len(encoded) and set(encoded) <= {ZERO, ONE, MINUS_ONE}
 
 
 def test_w_class_file_has_rank_lower_bound_3_and_converts_to_no(capsys, tmp_path):
@@ -402,6 +393,26 @@ def test_convert_witness_with_a_repeated_malformed_string_exits_2(capsys, tmp_pa
                          "--simulate", "--out", str(tmp_path / "protocol.json"))
     assert code == 2 and out == "" and err.startswith("error:") and "1/0" in err
     assert not (tmp_path / "protocol.json").exists()
+
+
+def test_tensor_files_keep_every_spelling_fraction_reads(capsys, tmp_path):
+    # strings off the integer fast path keep Fraction's values and errors
+    def entries(*values):
+        return [{"i": [k // 4, k // 2 % 2, k % 2], "re": v} for k, v in enumerate(values)]
+
+    path = tmp_path / "spelled.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": entries(
+        "6/4", "-0", " 3/4", "1.5", "1e1", "1_0") + [{"i": [1, 1, 1], "re": "0", "im": "-0"}]}))
+    out_file = tmp_path / "out.json"
+    code, _, _ = run(capsys, "state", str(path), "--out", str(out_file))
+    assert code == 0
+    assert [(e["i"], e["re"]) for e in json.loads(out_file.read_text())["entries"]] == [
+        ([0, 0, 0], "3/2"), ([0, 1, 0], "3/4"), ([0, 1, 1], "3/2"), ([1, 0, 0], "10"),
+        ([1, 0, 1], "10")]
+    for bad in ("1/0", "3/-4"):
+        path.write_text(json.dumps({"dims": [2, 2, 2], "entries": entries("1", bad)}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == "" and err.startswith("error:") and bad in err
 
 
 def test_parser_is_built_on_the_first_main_call_and_reused():

@@ -9,12 +9,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    abs2,
     invertible_matrix,
     kron_vec,
     mat_mul,
     mat_vec,
+    matrix,
     nonzero_vector,
     oracle_outer_sum,
+    oracle_rank,
+    reference_reconstruct,
     vector,
     zeros,
 )
@@ -62,7 +66,9 @@ from tenrank.tensors import (
     Tensor3,
     apply_local_operators,
     contract,
+    flattening,
     flattening_rank,
+    flattening_ranks,
     make_tensor,
     max_flattening_rank,
     tensor_product,
@@ -190,25 +196,6 @@ def test_randomized_fallback_is_the_one_copy_power_check_with_seed_20(monkeypatc
 # -- the integer reconstruction kernel against the per-Scalar reference -------
 
 
-def reference_reconstruct(d):
-    """The per-Scalar dense reconstruction that the integer kernel replaced."""
-    da, db, dc = d.dims
-    acc = [ZERO] * (da * db * dc)
-    for term in d.terms:
-        for i, ai in enumerate(term.a):
-            if not ai:
-                continue
-            for j, bj in enumerate(term.b):
-                if not bj:
-                    continue
-                ab = ai * bj
-                base = (i * db + j) * dc
-                for k, ck in enumerate(term.c):
-                    if ck:
-                        acc[base + k] = acc[base + k] + ab * ck
-    return Tensor3(d.dims, acc)
-
-
 def reference_verify(t, d):
     """Dense verification through reference_reconstruct, entry by entry."""
     rebuilt = reference_reconstruct(d)
@@ -273,6 +260,7 @@ def test_kernel_mismatches_match_per_scalar_reference():
     rng = random.Random(72)
     for t, d in kernel_corpus():
         real = all(not x.im for term in d.terms for leg in term for x in leg)
+        t_entries = t.entries
         for _ in range(3):
             bump = Scalar(0, sampling.rational(rng, max_num=5, max_den=6) or 1)
             # a witness whose c-leg gained an imaginary part: for a real
@@ -287,18 +275,55 @@ def test_kernel_mismatches_match_per_scalar_reference():
                 rebuilt = reconstruct(wrong)
                 assert rebuilt == reference_reconstruct(wrong)
                 if real:
-                    assert all(not (x - y).re for x, y in zip(rebuilt.entries, t.entries))
+                    assert all(not (x - y).re for x, y in zip(rebuilt.entries, t_entries))
                 result = verify_decomposition(t, wrong)
                 assert not result.ok and result == reference_verify(t, wrong)
             # a target off by an imaginary bump at one entry, zero or not
-            flat = rng.randrange(len(t.entries))
-            entries = list(t.entries)
+            flat = rng.randrange(len(t_entries))
+            entries = list(t_entries)
             entries[flat] = entries[flat] + bump
             wrong_target = Tensor3(t.dims, entries)
             result = verify_decomposition(wrong_target, d)
             assert result == reference_verify(wrong_target, d)
             _, db, dc = t.dims
             assert result == VerifyResult(False, (flat // (db * dc), flat // dc % db, flat % dc))
+
+
+def test_target_past_int64_and_the_float_range_matches_the_references():
+    # numerators past 2^62 and a value no float holds: every exact reader
+    # agrees with the per-Scalar references, and to_numpy refuses
+    big = 2 ** 62 + 3
+    values = {(0, 0, 0): Scalar(big), (1, 1, 1): Scalar(Fraction(1, 3), 10 ** 400),
+              (0, 1, 1): Scalar(Fraction(-5, 2 ** 63), 1), (1, 0, 1): Scalar(0, big)}
+    t = make_tensor((2, 2, 2), values)
+    assert t.values.re.dtype == object
+    assert flattening_ranks(t) == {leg: oracle_rank(flattening(t, leg)) for leg in "ABC"}
+    assert t.norm_sq() == sum(abs2(x) for x in values.values())
+    unit = ((1, 0), (0, 1))
+    d = make_decomposition((2, 2, 2), [(tuple(x * v for v in unit[a]), unit[b], unit[c])
+                                       for (a, b, c), x in values.items()])
+    assert reconstruct(d) == reference_reconstruct(d) == t
+    assert verify_decomposition(t, d) == reference_verify(t, d) == VerifyResult(True)
+    first = d.terms[0]
+    wrong = ProductDecomposition(d.dims, (Term(first.a, first.b, (first.c[0], 1)),)
+                                 + tuple(d.terms[1:]))
+    assert verify_decomposition(t, wrong) == reference_verify(t, wrong) \
+        == VerifyResult(False, (0, 0, 1))
+    with pytest.raises(ResourceError, match="float range"):
+        t.to_numpy()
+
+
+def test_zero_numerators_over_a_denominator_past_int64():
+    # int64 numerators that are all zero keep a denominator past 2^63 out of
+    # the array arithmetic: a sum that cancels, and an all-zero witness leg
+    tiny = Fraction(1, 2 ** 40)
+    d = make_decomposition((1, 1, 1), [((tiny,), (tiny,), (tiny,)), ((-tiny,), (tiny,), (tiny,))])
+    assert _dense_numerators(d)[2] == 2 ** 120
+    assert reconstruct(d) == reference_reconstruct(d) == zero_tensor((1, 1, 1))
+    assert verify_decomposition(zero_tensor((1, 1, 1)), d) == VerifyResult(True)
+    payload = {"dims": [1, 1, 1], "terms": [{"a": ["0"], "b": [f"1/{10 ** 22}"], "c": ["1"]}]}
+    with pytest.raises(InputError, match="term 0 contains an all-zero vector"):
+        decomposition_from_json(payload)
 
 
 def test_kernel_switches_to_python_ints_past_the_int64_bound():
@@ -508,8 +533,8 @@ def test_storage_switches_to_python_ints_near_the_int64_limit():
         assert decomposition_from_json(json.loads(json.dumps(decomposition_to_json(d)))) == d
         plain = ProductDecomposition(d.dims, per_scalar_terms(terms))
         assert to_bilinear(d) == to_bilinear(plain)
-        ops = LocalOperatorTriple(linalg.matrix([[1, Scalar(0, 2)], [0, Fraction(1, 2)]]),
-                                  linalg.matrix([[1, 1]]), linalg.matrix([[2]]))
+        ops = LocalOperatorTriple(matrix([[1, Scalar(0, 2)], [0, Fraction(1, 2)]]),
+                                  matrix([[1, 1]]), matrix([[2]]))
         assert transport(ops, d).terms == tuple(
             Term(*(mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
             for term in plain.terms)
@@ -536,8 +561,8 @@ def test_array_paths_match_the_per_scalar_terms():
     # every leg is kept over its least common denominator
     d = make_decomposition((2, 1, 1), [((Fraction(1, 2), Fraction(1, 6)), (1,), (1,))])
     assert d.terms.legs[0].den == 6
-    six = LocalOperatorTriple(linalg.matrix([[6, 0], [0, 6]]), linalg.matrix([[1]]),
-                              linalg.matrix([[1]]))
+    six = LocalOperatorTriple(matrix([[6, 0], [0, 6]]), matrix([[1]]),
+                              matrix([[1]]))
     assert transport(six, d).terms.legs[0].den == 1
     assert decomposition_power(d, 2).terms.legs[0].den == 36
     half = make_decomposition((1, 1, 1), [((Scalar(Fraction(1, 2), Fraction(1, 2)),), (1,), (1,))])
@@ -913,7 +938,7 @@ def test_w_pencil_is_nonzero_nilpotent_oracle():
     w = builtin_state("W")
     s0, s1 = (tuple(tuple(w[a, b, c] for b in range(2)) for a in range(2)) for c in range(2))
     m = mat_mul(s1, linalg.inverse(s0))
-    assert m == linalg.matrix([[0, 1], [0, 0]])
+    assert m == matrix([[0, 1], [0, 0]])
     assert mat_mul(m, m) == zeros(2, 2)  # nilpotent, nonzero
 
 
@@ -930,7 +955,7 @@ def test_rank222_by_construction_oracles():
     product = make_tensor((2, 2, 2), {(0, 0, 0): 1})
     biseparable = [make_tensor((2, 2, 2), {pair(i): 1 for i in range(2)})
                    for pair in (lambda i: (0, i, i), lambda i: (i, 0, i), lambda i: (i, i, 0))]
-    rank_one = linalg.matrix([[1, 0], [0, 0]])
+    rank_one = matrix([[1, 0], [0, 0]])
 
     def invertible():
         return invertible_matrix(rng, 2, complex_parts=True, max_num=3, max_den=2)
@@ -944,7 +969,7 @@ def test_rank222_by_construction_oracles():
         # one operator of rank 1 (or 0) collapses that leg's flattening
         leg = rng.randrange(3)
         ops[leg] = mat_mul(ops[leg], rank_one) if rng.random() < 0.8 else \
-            linalg.matrix([[0, 0], [0, 0]])
+            matrix([[0, 0], [0, 0]])
         for t in (ghz, w):
             assert rank_leq2_test_2x2x2(_image(ops, t)) is Rank222.DEGENERATE
 
@@ -1054,7 +1079,7 @@ def test_decomposition_json_complex_entries():
 
 def test_decomposition_json_repeated_strings_decode_to_equal_values(monkeypatch):
     # strings repeat across terms ("1", "0", "-1", the same complex pair);
-    # the per-call memo must hand back the value a fresh decode gives
+    # decoding each once per call must give the value a fresh decode gives
     half = Scalar(Fraction(1, 2), Fraction(-1, 3))
     d = make_decomposition((3, 2, 2), [
         ((1, 0, half), (1, -1), (half, 1)),
@@ -1067,21 +1092,24 @@ def test_decomposition_json_repeated_strings_decode_to_equal_values(monkeypatch)
     for term, item in zip(loaded.terms, payload["terms"]):
         for vector, leg in zip(term, "abc"):
             assert list(vector) == [scalar_from_json(v) for v in item[leg]]
-    # within one call a repeated string is decoded once; a second call
-    # decodes on its own, nothing is shared across calls (the loaded
-    # decomposition keeps integer arrays, not the decoded Scalars, so the
-    # decodes are counted)
+    # within one call a repeated string is parsed once; a second call
+    # parses on its own, nothing is shared across calls
     decoded = []
-    original = scalars._decode_scalar
-    monkeypatch.setattr(scalars, "_decode_scalar",
-                        lambda obj: decoded.append(obj) or original(obj))
-    forms = {json.dumps(v, sort_keys=True)
-             for item in payload["terms"] for leg in "abc" for v in item[leg]}
-    assert len(forms) == 4
+    pattern = scalars._RATIO
+
+    class Counting:
+        def fullmatch(self, text):
+            decoded.append(text)
+            return pattern.fullmatch(text)
+
+    monkeypatch.setattr(scalars, "_RATIO", Counting())
+    strings = {part for item in payload["terms"] for leg in "abc" for v in item[leg]
+               for part in ((v["re"], v["im"]) if isinstance(v, dict) else (v,))}
+    assert strings == {"0", "1", "-1", "1/2", "-1/3"}
     for _ in range(2):
         decoded.clear()
         assert decomposition_from_json(payload) == d
-        assert len(decoded) == len(forms)
+        assert sorted(decoded) == sorted(strings)
 
 
 def test_decomposition_json_repeated_malformed_string_raises():

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import abs2, conj
+
 from tenrank.errors import InputError
 from tenrank.scalars import (
     Scalar,
     as_scalar,
     format_rational,
     from_gaussian,
+    gaussian_from_json,
     gaussian_integers,
     gaussian_to_json,
     parse_rational,
@@ -31,9 +34,9 @@ def test_complex_multiplication_and_conjugate():
     z = Scalar(1, 2)
     w = Scalar(3, -1)
     assert z * w == Scalar(5, 5)
-    assert z.conj() == Scalar(1, -2)
-    assert (z * z.conj()) == Scalar(z.abs2())
-    assert z.abs2() == Fraction(5)
+    assert conj(z) == Scalar(1, -2)
+    assert (z * conj(z)) == Scalar(abs2(z))
+    assert abs2(z) == Fraction(5)
 
 
 def test_division_is_exact_inverse():
@@ -133,22 +136,25 @@ def test_scalar_json_rejects_booleans():
     for obj in (True, False, {"re": True}, {"re": "1", "im": False}):
         with pytest.raises(InputError):
             scalar_from_json(obj)
-        with pytest.raises(InputError):
-            scalar_from_json(obj, {})
 
 
-def test_scalar_json_memo_reuses_values_and_never_stores_failures():
-    memo = {}
-    first = scalar_from_json("-3/4", memo)
-    assert scalar_from_json(" -3/4", memo) == first
-    assert scalar_from_json("-3/4", memo) is first
-    pair = scalar_from_json({"re": "1", "im": "2"}, memo)
-    assert pair == Scalar(1, 2) and scalar_from_json({"re": "1", "im": "2"}, memo) is pair
-    for _ in range(2):
-        with pytest.raises(InputError):
-            scalar_from_json("1/0", memo)
-        with pytest.raises(InputError):
-            scalar_from_json({"re": "1", "im": "x"}, memo)
-    assert set(memo) == {"-3/4", " -3/4", ("1", "2")}
-    # parts that are not both strings decode without the memo
-    assert scalar_from_json({"re": 1, "im": "2"}, memo) == pair and len(memo) == 3
+def test_json_decode_reads_every_spelling_as_fraction_does():
+    # ASCII "-?p(/q)?" strings and ints skip Fraction; every other spelling
+    # goes through it, so values and errors are those of scalar_from_json
+    spellings = ["6/4", "-0", " 3/4", "1.5", "1e3", "1_000", "\u0663", "007", "-12/8", "+3",
+                 "0/5", "3/4\n", 7, -2, {"re": "1/2", "im": 3}, {"im": "-4/6"}, {"re": 0},
+                 {"re": " 1/3", "im": "2e-1"}, str(10 ** 400), f"1/{10 ** 400}"]
+    decoded = [scalar_from_json(v) for v in spellings]
+    assert decoded[:7] == [Scalar(Fraction(3, 2)), Scalar(0), Scalar(Fraction(3, 4)),
+                           Scalar(Fraction(3, 2)), Scalar(1000), Scalar(1000), Scalar(3)]
+    assert gaussian_from_json(spellings) == gaussian_integers(decoded)
+    assert gaussian_from_json(iter(spellings[::-1])) == gaussian_integers(decoded[::-1])
+    assert gaussian_from_json([]) == ([], [], 1)
+    for bad in ("1/0", "3/-4", "x", "1/", "/2", "--1", "", "9" * 5000, True, 1.5, None, [1],
+                {"re": 1.5}, {"re": "1", "im": True}, {"re": "x", "im": 0.5},
+                {"re": None}, {"re": "1/0", "im": "x"}):
+        with pytest.raises(InputError) as slow:
+            scalar_from_json(bad)
+        with pytest.raises(InputError) as fast:
+            gaussian_from_json(["1/2", bad, "x"])
+        assert str(fast.value) == str(slow.value)

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import invertible_matrix, mat_mul, oracle_rank
+from conftest import invertible_matrix, mat_mul, matrix, oracle_rank
 
 from tenrank import decomp, linalg, sampling, slocc, tensors
 from tenrank.bilinear import phi3_matmul_witness
@@ -168,8 +168,9 @@ def test_build_protocol_verifies_a_target_the_witness_has_not_passed():
 
 
 def test_simulate_defaults_to_the_protocols_own_ghz_source():
-    # the default source is built as an array; the outcome and probability
-    # equal those from the exact GHZ(n) tensor bit for bit
+    # the default source is the builtin GHZ(n), built straight as arrays;
+    # the outcome and probability equal those from an explicit GHZ(n)
+    # tensor bit for bit
     for witness, n in ((builtin_decomposition("FIDUCCIA8_W2"), 8),
                        (w_rank3_decomposition(), 5), (ghz_decomposition(3), 3)):
         protocol = build_protocol(witness, n)
@@ -178,8 +179,9 @@ def test_simulate_defaults_to_the_protocols_own_ghz_source():
         assert outcome.tobytes() == expected.tobytes() and outcome.shape == expected.shape
         assert probability == expected_probability
     for n in (1, 2, 7):
-        arr, expected = slocc._ghz_array(n), builtin_state("GHZ", n).to_numpy()
-        assert arr.dtype == expected.dtype and arr.tobytes() == expected.tobytes()
+        listed = make_tensor((n, n, n), {(i, i, i): 1 for i in range(n)})
+        assert builtin_state("GHZ", n) == listed and hash(builtin_state("GHZ", n)) == hash(listed)
+        assert builtin_state("GHZ", n).to_numpy().tobytes() == listed.to_numpy().tobytes()
 
 
 def test_simulate_default_source_keeps_the_dense_cap():
@@ -299,7 +301,7 @@ def test_decide_found_and_rationalized_path():
     # GHZ(2) is not special-cased away when the registry is empty-handed:
     # scrub the registry by transforming GHZ into a non-registered basis
     ops = LocalOperatorTriple(
-        linalg.matrix([[1, 1], [0, 1]]), linalg.identity(2), linalg.identity(2)
+        matrix([[1, 1], [0, 1]]), linalg.identity(2), linalg.identity(2)
     )
     target = apply_local_operators(ops, builtin_state("GHZ", 2))
     verdict = decide_ghz_conversion(target, 2)
@@ -343,7 +345,7 @@ def _bipartite_of_rank(rng, da, db, k):
              for j in range(k)] for i in range(da)]
     right = [[Scalar(1 if i == j else 0) if j < k else sampling.scalar(rng, max_num=2)
               for j in range(db)] for i in range(k)]
-    m = mat_mul(linalg.matrix(left), linalg.matrix(right))
+    m = mat_mul(matrix(left), matrix(right))
     return make_tensor((da, db, 1), {
         (i, j, 0): m[i][j] for i in range(da) for j in range(db) if m[i][j]
     })

@@ -37,14 +37,26 @@ def test_trace_harness_names_resolve():
     assert missing == []
 
 
-def test_decomp_draws_no_stdlib_or_scalar_probes():
-    # the randomized checks draw integer probes with numpy and build power
-    # terms from integer Legs: no per-Scalar sampling, stdlib generator or reduce
-    tree = ast.parse((PACKAGE / "decomp.py").read_text(encoding="utf-8"))
+def _imports(module: str) -> set:
+    """The names and modules a package module imports."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= {alias.name for alias in node.names}
             if isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
-    assert imported & {"random", "sampling", "reduce"} == set()
+    return imported
+
+
+def test_decomp_draws_no_stdlib_or_scalar_probes():
+    # the randomized checks draw integer probes with numpy and build power
+    # terms from integer Legs: no per-Scalar sampling, stdlib generator or reduce
+    assert _imports("decomp.py") & {"random", "sampling", "reduce"} == set()
+
+
+def test_tensors_and_decomp_read_targets_as_stored_integers():
+    # a Tensor3 holds its values as one Leg, so no reader of a target
+    # converts Scalars to integers again
+    for module in ("tensors.py", "decomp.py"):
+        assert _imports(module) & {"distinct_objects", "gaussian_integers"} == set()

@@ -1,17 +1,30 @@
+import itertools
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
-from conftest import invertible_matrix, nonzero_vector, oracle_outer_sum, oracle_rank
+from conftest import (
+    invertible_matrix,
+    matrix,
+    nonzero_vector,
+    oracle_outer_sum,
+    oracle_rank,
+    reference_apply_local_operators,
+    reference_reconstruct,
+    reference_tensor_product,
+    tensor_sum,
+)
 
 from tenrank import linalg, sampling, tensors
-from tenrank.decomp import builtin_state
+from tenrank.decomp import builtin_state, make_decomposition, reconstruct
 from tenrank.errors import InputError, ResourceError
-from tenrank.scalars import ZERO, Scalar
+from tenrank.scalars import ZERO, Leg, Scalar
 from tenrank.tensors import (
     LocalOperatorTriple,
     Tensor3,
@@ -50,12 +63,13 @@ def test_make_tensor_ghz_and_w_unnormalized():
 
 
 def test_fresh_zero_scalars_read_like_the_shared_zero():
-    # to_numpy, nonzeros, nnz, norm_sq and is_zero skip the shared ZERO by
-    # identity; zeros that are other Scalar objects must still be skipped by value
+    # zeros given as Scalar objects other than the shared ZERO are dropped
+    # from the support by value
     values = {(0, 0, 1): Scalar(Fraction(1, 2), 3), (1, 1, 0): Scalar(-2)}
     shared = make_tensor((2, 2, 2), values)
-    fresh = Tensor3((2, 2, 2), [Scalar(0) if x == 0 else x for x in shared.entries])
-    assert not any(x is ZERO for x in fresh.entries)
+    dense = [Scalar(0) if x == 0 else x for x in shared.entries]
+    assert not any(x is ZERO for x in dense)
+    fresh = Tensor3((2, 2, 2), dense)
     assert np.array_equal(fresh.to_numpy(), shared.to_numpy())
     assert list(fresh.nonzeros()) == list(shared.nonzeros()) == sorted(values.items())
     expected = np.zeros((2, 2, 2), dtype=complex)
@@ -73,11 +87,11 @@ def _index(flat, dims):
     return divmod(flat // dc, db) + (flat % dc,)
 
 
-def _dense_scan(t):
+def _dense_scan(t, entries):
     """to_numpy, nonzeros, nnz, is_zero and norm_sq read off every entry by
     value, the support's reference."""
-    nonzeros = [(_index(flat, t.dims), x) for flat, x in enumerate(t.entries) if x != 0]
-    arr = np.array([complex(x) for x in t.entries], dtype=np.complex128).reshape(t.dims)
+    nonzeros = [(_index(flat, t.dims), x) for flat, x in enumerate(entries) if x != 0]
+    arr = np.array([complex(x) for x in entries], dtype=np.complex128).reshape(t.dims)
     return (arr, nonzeros, len(nonzeros), not nonzeros,
             sum((x.re * x.re + x.im * x.im for _, x in nonzeros), Fraction(0)))
 
@@ -91,21 +105,55 @@ def _support_corpus():
             apply_local_operators(ops, phi3), zero_tensor((3, 2, 4))]
 
 
+def _spelled(part: Fraction, k: int):
+    """A JSON spelling of a rational that is not its canonical string: a
+    multiple of numerator and denominator, a JSON int, padded or "-0"."""
+    if k % 3 == 0:
+        return f"{3 * part.numerator}/{3 * part.denominator}"
+    if k % 3 == 1 and part.denominator == 1:
+        return part.numerator
+    return f" {part}" if part else "-0"
+
+
+def _json_of(t, nonzeros):
+    """t's tensor JSON with every value spelled another way, in reverse
+    entry order and with a few explicit zeros."""
+    items = [{"i": list(index), "re": _spelled(x.re, k), "im": _spelled(x.im, k + 1)}
+             for k, (index, x) in enumerate(nonzeros)]
+    listed = {index for index, _ in nonzeros}
+    zeros = [{"i": list(index), "re": "0/4"} for index in itertools.islice(
+        itertools.product(*map(range, t.dims)), 5) if index not in listed]
+    return {"dims": list(t.dims), "entries": items[::-1] + zeros}
+
+
+def _one_term_each(t, nonzeros):
+    """A decomposition with one term x e_a (x) e_b (x) e_c per nonzero."""
+    def unit(n, i, x=1):
+        return tuple(x if j == i else 0 for j in range(n))
+
+    return make_decomposition(t.dims, [
+        (unit(t.dims[0], a, x), unit(t.dims[1], b), unit(t.dims[2], c))
+        for (a, b, c), x in nonzeros])
+
+
 def test_support_readers_match_a_dense_scan():
     fresh_zero = Scalar(0)
     assert fresh_zero is not ZERO
     for t in _support_corpus():
-        arr, nonzeros, nnz, is_zero, norm_sq = _dense_scan(t)
-        dense = [fresh_zero if x == 0 else x for x in t.entries]
+        entries = t.entries
+        arr, nonzeros, nnz, is_zero, norm_sq = _dense_scan(t, entries)
+        dense = [fresh_zero if x == 0 else x for x in entries]
         # make_tensor given explicit zeros too, at every seventh index
         listed = dict(nonzeros)
         for flat in range(1, len(dense), 7):
             listed.setdefault(_index(flat, t.dims), Scalar(0))
-        constructions = [make_tensor(t.dims, dict(nonzeros)), Tensor3(t.dims, t.entries),
-                         Tensor3(t.dims, dense), make_tensor(t.dims, listed)]
+        constructions = [make_tensor(t.dims, dict(nonzeros)), Tensor3(t.dims, entries),
+                         Tensor3(t.dims, dense), make_tensor(t.dims, listed),
+                         tensor_from_json(json.loads(json.dumps(_json_of(t, nonzeros)))),
+                         reconstruct(_one_term_each(t, nonzeros))]
         for built in constructions:
             assert built == t and hash(built) == hash(t)
-            assert np.array_equal(built.to_numpy(), arr)
+            assert built.to_numpy().tobytes() == arr.tobytes()
             assert built.to_numpy().dtype == np.complex128
             assert list(built.nonzeros()) == nonzeros
             assert built.nnz() == nnz and built.is_zero() == is_zero
@@ -113,13 +161,12 @@ def test_support_readers_match_a_dense_scan():
 
 
 def test_norm_sq_reads_shared_objects_once_each_and_stays_exact():
-    # tensor JSON shares one Scalar per repeated string; the norm counts
-    # every entry all the same
+    # tensor JSON parses each repeated string once; the norm counts every
+    # entry all the same
     entries = [{"i": [a, b, c], "re": "1/2", "im": "-3/4"}
                for a in range(2) for b in range(2) for c in range(2) if (a + b + c) % 2]
     entries.append({"i": [0, 0, 0], "re": "-7/3"})
     t = tensor_from_json({"dims": [2, 2, 2], "entries": entries})
-    assert t[(0, 0, 1)] is t[(1, 1, 1)]
     norm = t.norm_sq()
     assert type(norm) is Fraction
     assert norm == 4 * (Fraction(1, 4) + Fraction(9, 16)) + Fraction(49, 9)
@@ -135,6 +182,41 @@ def test_to_numpy_beyond_the_float_range_raises_resource_error():
     # a tiny value rounds to zero like any float conversion; it is no error
     tiny = make_tensor((1, 1, 1), {(0, 0, 0): Scalar(Fraction(1, 10 ** 400))})
     assert tiny.to_numpy()[0, 0, 0] == 0
+
+
+def test_to_numpy_past_2_53_equals_complex_of_each_scalar():
+    # float64(2^53 + 1) / float64(3) differs from (2^53 + 1) / 3: past 2^53
+    # the numerators are divided as Python ints
+    n = 2 ** 53
+    assert float(np.float64(n + 1) / np.float64(3)) != (n + 1) / 3
+    values = {(0, 0, 0): Scalar(Fraction(n + 1, 3)),
+              (0, 1, 0): Scalar(Fraction(1, n + 7), Fraction(4 * n + 1, 5)),
+              (1, 0, 1): Scalar(Fraction(2 ** 60 + 1, 2 ** 61 - 1), -2),
+              (1, 1, 1): Scalar(Fraction(-1, 3))}
+    t = make_tensor((2, 2, 2), values)
+    assert t.values.den >= n
+    arr = t.to_numpy()
+    for index, value in values.items():
+        assert arr[index].tobytes() == np.complex128(complex(value)).tobytes()
+    assert np.count_nonzero(arr) == len(values)
+
+
+def test_a_tensor_holds_only_dims_support_and_one_leg():
+    x = Scalar(Fraction(3, 7), 5)  # held by this test alone
+    baseline = sys.getrefcount(x)
+    one = make_tensor((2, 1, 2), {(1, 0, 1): x, (0, 0, 0): 2})
+    built = [one, Tensor3((1, 1, 2), [0, x]), tensor_product(one, one),
+             apply_local_operators(identity_triple((2, 1, 2)), one),
+             make_tensor((1, 1, 1), {(0, 0, 0): Scalar(2 ** 70, x.im)})]
+    assert sys.getrefcount(x) == baseline
+    assert Tensor3.__slots__ == ("dims", "support", "values")
+    for t in built:
+        assert type(t.dims) is tuple and isinstance(t.values, Leg) and type(t.values.den) is int
+        assert t.support.dtype == np.int64
+        for array in (t.support, t.values.re, t.values.im):
+            assert not array.flags.writeable
+            assert array.dtype == np.int64 or all(type(v) is int for v in array.tolist())
+    assert built[-1].values.re.dtype == object
 
 
 def test_make_tensor_zero_and_errors():
@@ -351,7 +433,7 @@ def test_flattening_rank_rejects_an_unknown_leg():
 def test_apply_identity_and_projector():
     w = w_state()
     assert apply_local_operators(identity_triple(w.dims), w) == w
-    proj = linalg.matrix([[1, 0], [0, 0]])
+    proj = matrix([[1, 0], [0, 0]])
     ops = LocalOperatorTriple(proj, proj, proj)
     assert apply_local_operators(ops, ghz()) == make_tensor((2, 2, 2), {(0, 0, 0): 1})
 
@@ -380,17 +462,58 @@ def test_apply_is_linear_in_the_tensor():
     )
     t1 = make_tensor(dims, {(0, 1, 0): Scalar(Fraction(1, 3)), (1, 1, 1): 2})
     t2 = make_tensor(dims, {(0, 0, 0): 5, (1, 1, 1): Scalar(0, 1)})
-    lhs = apply_local_operators(ops, t1 + t2)
-    rhs = apply_local_operators(ops, t1) + apply_local_operators(ops, t2)
+    lhs = apply_local_operators(ops, tensor_sum(t1, t2))
+    rhs = tensor_sum(apply_local_operators(ops, t1), apply_local_operators(ops, t2))
     assert lhs == rhs
 
 
 def test_apply_non_square_changes_dims():
-    embed = linalg.matrix([[1, 0], [0, 1], [0, 0]])
+    embed = matrix([[1, 0], [0, 1], [0, 0]])
     ops = LocalOperatorTriple(embed, linalg.identity(2), linalg.identity(2))
     out = apply_local_operators(ops, ghz())
     assert out.dims == (3, 2, 2)
     assert out[(1, 1, 1)] == 1 and out[(2, 1, 1)] == 0
+
+
+def _random_tensor(rng, dims, scale=1):
+    entries = {tuple(rng.randrange(d) for d in dims):
+               sampling.scalar(rng, max_num=5, max_den=4, complex_parts=True) * scale
+               for _ in range(rng.randint(0, 6))}
+    return make_tensor(dims, entries)
+
+
+def test_array_code_matches_the_per_scalar_references(monkeypatch):
+    rng = random.Random(47)
+    sizes = []
+    original = tensors._mapped
+    # the size of every operator's result
+    monkeypatch.setattr(tensors, "_mapped", lambda m, leg: (
+        sizes.append(leg.re.size // leg.re.shape[-1] * len(m)) or original(m, leg)))
+    for k in range(24):
+        dims = tuple(rng.randint(1, 3) for _ in range(3))
+        # every fourth tensor and operator has numerators past 2^62
+        scale = 2 ** 70 + 1 if k % 4 == 0 else 1
+        t = _random_tensor(rng, dims, scale)
+        ops = LocalOperatorTriple(*(
+            sampling.matrix(rng, rng.randint(1, 4), d, complex_parts=True, max_num=4,
+                            max_den=3) for d in dims))
+        if k % 4 == 1:
+            ops = LocalOperatorTriple(ops.A, ops.B, tuple(tuple(x * 2 ** 64 for x in row)
+                                                          for row in ops.C))
+        sizes.clear()
+        got = apply_local_operators(ops, t)
+        assert got == reference_apply_local_operators(ops, t)
+        assert list(got.nonzeros()) == list(reference_apply_local_operators(ops, t).nonzeros())
+        # the shrinking legs go first: no intermediate outgrows input and output
+        out = ops.output_dims()
+        assert max(sizes) <= max(math.prod(dims), math.prod(out))
+        other = _random_tensor(rng, tuple(rng.randint(1, 3) for _ in range(3)))
+        for left, right in ((t, other), (other, t), (t, t)):
+            assert tensor_product(left, right) == reference_tensor_product(left, right)
+        terms = [tuple(nonzero_vector(rng, d, complex_parts=True, max_num=9, max_den=6)
+                       for d in dims) for _ in range(rng.randint(1, 4))]
+        d = make_decomposition(dims, terms)
+        assert reconstruct(d) == reference_reconstruct(d)
 
 
 def test_apply_dimension_mismatch():
@@ -413,12 +536,12 @@ def span_equal(basis1, basis2):
 
 def test_support_basis_examples():
     g_basis = support_basis(ghz())
-    assert span_equal(g_basis, [linalg.matrix([[1, 0], [0, 0]]),
-                                linalg.matrix([[0, 0], [0, 1]])])
+    assert span_equal(g_basis, [matrix([[1, 0], [0, 0]]),
+                                matrix([[0, 0], [0, 1]])])
     w_basis = support_basis(w_state())
     assert len(w_basis) == 2
-    assert span_equal(w_basis, [linalg.matrix([[0, 1], [1, 0]]),
-                                linalg.matrix([[1, 0], [0, 0]])])
+    assert span_equal(w_basis, [matrix([[0, 1], [1, 0]]),
+                                matrix([[1, 0], [0, 0]])])
     assert support_basis(zero_tensor((2, 2, 2))) == []
 
 

@@ -42,6 +42,9 @@ FALLBACK_TERMS = 100_001
 #: a tensor with this entry has a lower rank mod p than over the rationals
 PRIME = 2147483629
 
+#: a numerator past int64, which tenrank then keeps as a Python int
+HUGE = 2 ** 63 + 5
+
 
 def write_inputs(root: Path) -> dict:
     """The corpus's input files, written under `root`; name -> path."""
@@ -88,6 +91,23 @@ def write_inputs(root: Path) -> dict:
         {"i": [0, 0, 0], "re": str(PRIME)}, {"i": [1, 1, 1], "re": "1"}]})
     # past the dense verification limit: FALLBACK_TERMS terms of +-1 that
     # cancel down to the 1x1x1 tensor 1, and a twin with one term changed
+    # values spelled as no canonical encoder writes them, parsed by Fraction
+    # or directly
+    write("spelled", {"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": "6/4"}, {"i": [0, 1, 1], "re": "-0", "im": " 3/4"},
+        {"i": [1, 0, 1], "re": "1.5", "im": "-0"}, {"i": [1, 1, 0], "re": "1e1"},
+        {"i": [1, 1, 1], "re": "1_0", "im": "6/4"}]})
+    write("spelled-ghz", {"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": "6/4", "im": "-0"}, {"i": [0, 1, 1], "re": "0e1"},
+        {"i": [1, 1, 1], "re": "1_0", "im": " 3/4"}]})
+    # numerators past int64 in the target and its witness
+    write("huge", {"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": str(HUGE)}, {"i": [1, 1, 1], "re": "1/3", "im": str(HUGE)}]})
+    write("huge-witness", {"dims": [2, 2, 2], "terms": [
+        {"a": [str(HUGE), "0"], "b": ["1", "0"], "c": ["1", "0"]},
+        {"a": ["0", {"re": "1/3", "im": str(HUGE)}], "b": ["0", "1"], "c": ["0", "1"]}]})
+    write("zero-leg-witness", {"dims": [2, 2, 2], "terms": [
+        {"a": ["0", "0"], "b": [f"1/{10 ** 22}", "0"], "c": ["1", "0"]}]})
     write("one", I.tensor_json((1, 1, 1), {(0, 0, 0): I.ONE}))
     signs = [I.q(1 - 2 * (k % 2)) for k in range(FALLBACK_TERMS)]
     write("cancel-witness", I.decomposition_json((1, 1, 1), [((I.ONE,), (I.ONE,), (sign,))
@@ -139,6 +159,18 @@ def corpus(f: dict) -> list:
         ["state", "PHI3"],
         ["state", "GHZ", "--n", "3", "--out", "state.json"],
         ["state", f["phi3-image0"]],
+        ["state", f["phi3-image0"], "--out", "state.json"],
+        # other spellings of the same values
+        ["state", f["spelled"], "--out", "state.json"],
+        ["classify", f["spelled"]],
+        ["convert", f["spelled"], "--ghz", "8", "--simulate"],
+        ["convert", f["spelled-ghz"], "--ghz", "2", "--simulate"],
+        # numerators past int64
+        ["rank", f["huge"]],
+        ["rank", f["huge"], "--witness", f["huge-witness"]],
+        ["verify", f["huge"], "--witness", f["huge-witness"]],
+        # an all-zero witness leg beside a denominator past int64 (exit 2)
+        ["verify", f["huge"], "--witness", f["zero-leg-witness"]],
         # matmul: exact with its check, and sizes past the dense cap (the
         # float bench at --n 40 exits 1 with a traceback before the size
         # check; sizes that allocate before it, such as exact --n 11
