@@ -18,7 +18,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -734,15 +734,26 @@ class RankFacts:
         }
 
     def lookup(self, t: Tensor3) -> tuple[str, RankFact] | None:
-        """Exact-match a tensor against the registered states."""
+        """Exact-match a tensor against the registered states.  Dims and
+        nonzero counts are compared first (GHZ(d) has d nonzeros, W 3 and
+        PHI3 8), so no state is built for a target that cannot match."""
         da, db, dc = t.dims
-        if da == db == dc and t == builtin_state("GHZ", da):
+        nnz = t.nnz()
+        if da == db == dc == nnz and t == _registered_state("GHZ", da):
             return (f"GHZ({da})", RankFact(da, "diagonal state: rank equals level count"))
-        if t.dims == (2, 2, 2) and t == builtin_state("W"):
+        if (t.dims, nnz) == ((2, 2, 2), 3) and t == _registered_state("W"):
             return ("W", self._named["W"])
-        if t.dims == (4, 4, 4) and t == builtin_state("PHI3"):
+        if (t.dims, nnz) == ((4, 4, 4), 8) and t == _registered_state("PHI3"):
             return ("PHI3", self._named["PHI3"])
         return None
+
+
+@cache
+def _registered_state(name: str, *params: int) -> Tensor3:
+    """builtin_state(name, *params), built once per process (an immutable
+    value; GHZ(d) exists for at most the 128 level counts under the dense
+    cap)."""
+    return builtin_state(name, *params)
 
 
 DEFAULT_RANK_FACTS = RankFacts()

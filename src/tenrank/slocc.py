@@ -206,7 +206,9 @@ def decide_ghz_conversion(target: Tensor3, n: int,
     """Decide GHZ(n) -> target convertibility where decidable.
 
     Yes requires an exact witness with at most n terms (caller-provided,
-    builtin, or found numerically and rationalized); No requires a lower
+    builtin, an exact simultaneous diagonalization for a target in the
+    GHZ(r) orbit, r the largest flattening rank, or found by the ALS search
+    when `search` is set and rationalized); No requires a lower
     bound above n from flattening ranks, the registered exact ranks or the
     2x2x2 rank test.
     Anything else is Unknown with both bounds reported.  A caller witness
@@ -241,6 +243,15 @@ def decide_ghz_conversion(target: Tensor3, n: int,
     if bounds.upper is not None and bounds.upper <= n:
         return ConvertVerdict("yes", witness=bounds.witness,
                               upper_bound=bounds.upper, lower_bound=lower)
+    if lower == flattening:  # a lower bound above r rules out an r-term witness
+        # imported on first use, so a caller that decides no conversion does
+        # not load it (about 0.7 MB of code objects, compiled from source)
+        from .pencil import diagonal_witness
+
+        exact = diagonal_witness(target, bounds.flattening_ranks)
+        if exact is not None:
+            return ConvertVerdict("yes", witness=exact, upper_bound=flattening,
+                                  lower_bound=lower)
 
     if search:
         found = als_search(target, n, als_cfg)

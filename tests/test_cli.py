@@ -11,6 +11,7 @@ import pytest
 from conftest import invertible_matrix
 
 import tenrank
+from tenrank import slocc
 from tenrank.als import AlsConfig
 from tenrank.cli import main
 from tenrank.decomp import (
@@ -451,6 +452,21 @@ def test_convert_unknown_exits_5(capsys):
     code, out, _ = run(capsys, "convert", "W2", "--ghz", "5")
     assert code == 5
     assert json.loads(out.strip().splitlines()[0])["verdict"] == "unknown"
+
+
+def test_convert_on_the_ghz_orbit_does_not_depend_on_the_seed(capsys, tmp_path, monkeypatch):
+    # the exact step decides with no search, so --seed changes nothing
+    monkeypatch.setattr(slocc, "als_search", lambda *args: pytest.fail("searched"))
+    path = tmp_path / "ghz-class.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": "2"}, {"i": [0, 0, 1], "re": "-1"}, {"i": [0, 1, 0], "re": "1/3"},
+        {"i": [1, 0, 1], "re": "3", "im": "1"}, {"i": [1, 1, 1], "re": "-5"}]}))
+    outputs = [run(capsys, "--json", "convert", str(path), "--ghz", "3", "--seed", seed)
+               for seed in ("0", "7")]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    verdict = json.loads(outputs[0][1])
+    assert (verdict["verdict"], verdict["upper_bound"], len(verdict["witness"]["terms"])) == (
+        "yes", 2, 2)
 
 
 # -- classify ---------------------------------------------------------------------

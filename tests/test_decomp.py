@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from conftest import (
     zeros,
 )
 
-from tenrank import decomp, linalg, sampling, scalars
+from tenrank import decomp, linalg, pencil, sampling, scalars
 from tenrank.bilinear import (
     from_bilinear,
     matmul_tensor,
@@ -60,6 +61,7 @@ from tenrank.decomp import (
     w_rank3_decomposition,
 )
 from tenrank.errors import InputError, ResourceError, WitnessMismatch
+from tenrank.pencil import diagonal_witness
 from tenrank.scalars import ZERO, Scalar, scalar_from_json
 from tenrank.tensors import (
     LocalOperatorTriple,
@@ -1010,6 +1012,64 @@ def test_rank_facts_lookup():
     assert DEFAULT_RANK_FACTS.lookup(builtin_state("W2")) is None
 
 
+def parent_lookup(t):
+    """The registered name RankFacts.lookup gave when it built and compared
+    every registered state of matching dims."""
+    da, db, dc = t.dims
+    if da == db == dc and t == builtin_state("GHZ", da):
+        return f"GHZ({da})"
+    if t.dims == (2, 2, 2) and t == builtin_state("W"):
+        return "W"
+    if t.dims == (4, 4, 4) and t == builtin_state("PHI3"):
+        return "PHI3"
+    return None
+
+
+def lookup_corpus():
+    ops = LocalOperatorTriple(*(invertible_matrix(random.Random(k), 4) for k in range(3)))
+    phi3 = builtin_state("PHI3")
+    three = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
+    return [
+        *(builtin_state("GHZ", n) for n in range(1, 6)),
+        make_tensor((3, 3, 3), {(k, k, k): 2 for k in range(3)}),
+        make_tensor((3, 3, 3), {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): Scalar(0, 1)}),
+        make_tensor((1, 1, 1), {(0, 0, 0): 2}), zero_tensor((1, 1, 1)), zero_tensor((2, 2, 2)),
+        builtin_state("W"), make_tensor((2, 2, 2), three),
+        make_tensor((2, 2, 2), {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}),
+        phi3, make_tensor((4, 4, 4), {index: (2 if index == (0, 0, 0) else 1)
+                                      for index, _ in phi3.nonzeros()}),
+        apply_local_operators(ops, phi3), builtin_state("W2"), builtin_state("EPR"),
+        make_tensor((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 1, 1): 1}),
+        make_tensor((2, 2, 2), {(0, 0, 0): 1}),
+    ]
+
+
+def test_rank_facts_lookup_matches_comparing_every_registered_state():
+    for t in lookup_corpus():
+        found = DEFAULT_RANK_FACTS.lookup(t)
+        assert (found[0] if found else None) == parent_lookup(t), t
+
+
+def test_rank_facts_lookup_builds_no_state_it_cannot_match(monkeypatch):
+    # dims and nonzero counts rule a target out before any registered state
+    # is built, and each registered state is built once per process
+    corpus = lookup_corpus()
+    misses = [t for t in corpus if not parent_lookup(t) and not (
+        (t.dims[0] == t.dims[1] == t.dims[2] == t.nnz()) or (t.dims, t.nnz()) in (
+            ((2, 2, 2), 3), ((4, 4, 4), 8)))]
+    assert len(misses) >= 6
+    built = []
+    real = decomp.builtin_state
+    monkeypatch.setattr(decomp, "builtin_state", lambda *args: built.append(args) or real(*args))
+    decomp._registered_state.cache_clear()
+    assert [DEFAULT_RANK_FACTS.lookup(t) for t in misses] == [None] * len(misses)
+    assert built == []
+    for _ in range(2):
+        for t in (builtin_state("GHZ", 4), builtin_state("W"), builtin_state("PHI3")):
+            assert DEFAULT_RANK_FACTS.lookup(t) is not None
+    assert built == [("GHZ", 4), ("W",), ("PHI3",)]
+
+
 def test_rank_bounds_on_a_fixed_corpus():
     phi3 = builtin_state("PHI3")
     ops = LocalOperatorTriple(*(invertible_matrix(random.Random(k), 4)
@@ -1052,6 +1112,135 @@ def test_rank_bounds_raise_the_lower_bound_to_3_on_the_w_class():
         assert ghz_class.rank222 is Rank222.RANK_LEQ2 and ghz_class.lower == 2
     assert rank_bounds(make_tensor((2, 2, 2), {(0, 0, 0): 1})).rank222 is Rank222.DEGENERATE
     assert rank_bounds(builtin_state("PHI3")).rank222 is None
+
+
+# -- exact witnesses by simultaneous diagonalization ----------------------------
+
+
+def ghz_images(seed, n, count, **kw):
+    """Images of GHZ(n) under random invertible local operators."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ops = LocalOperatorTriple(*(invertible_matrix(rng, n, **kw) for _ in range(3)))
+        yield apply_local_operators(ops, builtin_state("GHZ", n))
+
+
+def outer_sum(dims, terms):
+    return reconstruct(make_decomposition(dims, terms))
+
+
+def assert_exact_witness(t, witness, r):
+    assert witness is not None and len(witness.terms) == r
+    assert verify_decomposition(t, witness).ok and witness._verified_target is t
+    for leg in witness.terms.legs:  # integer numerators only: no float in the certificate
+        assert leg.re.dtype.kind in "iO" and type(leg.den) is int
+
+
+def test_diagonal_witness_decides_the_ghz_orbit_exactly():
+    for n, kw in ((2, {"complex_parts": True, "max_num": 3, "max_den": 3}), (3, {}),
+                  (4, {"max_num": 3, "max_den": 2})):
+        for t in ghz_images(40 + n, n, 3, **kw):
+            assert_exact_witness(t, diagonal_witness(t), n)
+    # legs permuted: A and C are the square legs, B indexes the slices
+    terms = [((1, 2), (1, 0, 3), (2, -1)), ((1, -1), (0, 1, 1), (1, 1))]
+    t = outer_sum((2, 3, 2), terms)
+    assert flattening_ranks(t) == {"A": 2, "B": 2, "C": 2}
+    assert_exact_witness(t, diagonal_witness(t), 2)
+    # one leg shorter than r: it indexes the slices
+    t = outer_sum((3, 3, 2), [((1, 0, 1), (1, 1, 0), (1, 1)), ((0, 1, 0), (0, 1, 1), (1, -1)),
+                              ((1, 1, 0), (1, 0, 1), (1, 2))])
+    assert_exact_witness(t, diagonal_witness(t), 3)
+
+
+def test_diagonal_witness_takes_a_singular_first_slice():
+    # c_1 = e_1 puts nothing of the first term in slice 0, which is then
+    # singular: an infinite eigenvalue of the pencil (S_0, S_1), so that pair
+    # is skipped and the next decides
+    t = outer_sum((2, 2, 2), [((1, 2), (3, -1), (0, 1)), ((1, -1), (1, 1), (1, 1))])
+    assert not linalg.det(tuple(tuple(t[(a, b, 0)] for b in range(2)) for a in range(2)))
+    assert_exact_witness(t, diagonal_witness(t), 2)
+
+
+def test_diagonal_witness_retries_a_repeated_eigenvalue(monkeypatch):
+    # c_1 = (1, 1, 0) and c_2 = (1, 0, 1) give the first pair, X0 = S_0 and
+    # X1 = S_0 + S_1 + S_2, the eigenvalue 2 twice
+    t = outer_sum((2, 2, 3), [((1, 2), (3, -1), (1, 1, 0)), ((1, -1), (1, 1), (1, 0, 1))])
+    calls = []
+    rounded_roots = pencil._rounded_roots
+    monkeypatch.setattr(pencil, "_rounded_roots",
+                        lambda *args: calls.append(rounded_roots(*args)) or calls[-1])
+    assert_exact_witness(t, diagonal_witness(t), 2)
+    assert len(calls) >= 2 and len(set(calls[0])) == 1 and len(set(calls[-1])) == 2
+
+
+def test_diagonal_witness_is_none_outside_its_scope(monkeypatch):
+    checked = []
+    verify = decomp.verify_decomposition
+    monkeypatch.setattr(decomp, "verify_decomposition",
+                        lambda *args: checked.append(verify(*args)) or checked[-1])
+    # eigenvalues 1 +- sqrt(2) of the pencil (I, [[0, 2], [1, 0]]): rank 2 over C only
+    sqrt2 = make_tensor((2, 2, 2), {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 1): 2, (1, 0, 1): 1})
+    # GHZ(2) in 3x3x2: no two legs of dimension r
+    embedded = make_tensor((3, 3, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
+    # 10^400 is exact, but no float holds it
+    big = make_tensor((2, 2, 2), {(0, 0, 0): 10 ** 400, (1, 1, 1): 1})
+    w_images = [image for _, image in w_class_images(93, 3)]  # one eigenvalue, twice
+    for t in (sqrt2, embedded, big, *w_images, builtin_state("W2"), zero_tensor((2, 2, 2))):
+        assert diagonal_witness(t) is None
+    assert checked == []
+    # slices I, diag(1, 2, 3) and E_01: the first pencil diagonalizes exactly,
+    # the third slice is not diagonal in its basis, so the witness fails
+    t = make_tensor((3, 3, 3), {(0, 0, 0): 1, (1, 1, 0): 1, (2, 2, 0): 1, (0, 0, 1): 1,
+                                (1, 1, 1): 2, (2, 2, 1): 3, (0, 1, 2): 1})
+    assert flattening_ranks(t) == {"A": 3, "B": 3, "C": 3}
+    assert diagonal_witness(t) is None
+    assert [result.ok for result in checked] == [False]
+
+
+def random_gaussian_matrix(rng, n, rank):
+    """An n x n Gaussian-integer matrix of (generically) the given rank, as
+    rows of (re, im) pairs: the product of random n x rank and rank x n
+    factors."""
+    def entries(rows, cols):
+        return [[(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    left, right = entries(n, rank), entries(rank, n)
+    return [[pencil._gdot(row, col) for col in zip(*right)] for row in left]
+
+
+def leibniz_det(m):
+    """det m over Z[i] as the sum over permutations, for small n."""
+    total = (0, 0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+        term = (-1 if inversions % 2 else 1, 0)
+        for row, col in enumerate(perm):
+            term = pencil._gmul(term, m[row][col])
+        total = (total[0] + term[0], total[1] + term[1])
+    return total
+
+
+def test_fraction_free_echelon_and_kernel_on_seeded_matrices():
+    # the last pivot of a nonsingular matrix is +-det; the kernel vector of a
+    # matrix of nullity one is annihilated exactly, and any other nullity
+    # gives None
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rank = rng.randint(max(1, n - 2), n)
+        m = random_gaussian_matrix(rng, n, rank)
+        rows, pivots = pencil._echelon(m)
+        assert len(pivots) == rank
+        if rank == n:
+            det, lead = leibniz_det(m), rows[-1][-1]
+            assert det in (lead, (-lead[0], -lead[1])) and det != (0, 0)
+        z = pencil._kernel_vector(m)
+        if rank != n - 1:
+            assert z is None
+            continue
+        assert any(map(any, z)) and math.gcd(*(x for v in z for x in v)) == 1
+        assert all(pencil._gdot(row, z) == (0, 0) for row in m)
 
 
 # -- JSON ---------------------------------------------------------------------

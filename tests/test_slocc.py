@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tenrank.decomp import (
     ghz_decomposition,
     make_decomposition,
     rank_leq2_test_2x2x2,
+    reconstruct,
     transport,
     verify_decomposition,
     w_rank3_decomposition,
@@ -24,6 +26,7 @@ from tenrank.decomp import (
 from tenrank.errors import InputError, ResourceError, WitnessMismatch
 from tenrank.scalars import Scalar
 from tenrank.slocc import (
+    ConvertVerdict,
     ThreeQubitClass,
     bipartite_convertible,
     build_protocol,
@@ -308,6 +311,73 @@ def test_decide_found_and_rationalized_path():
     assert verdict.kind == "yes"
     assert verify_decomposition(target, verdict.witness).ok
     assert len(verdict.witness.terms) <= 2
+
+
+def ghz_class_target(rng):
+    """a1 b1 c1 + a2 b2 c2 with small integer pairs of independent vectors:
+    a GHZ-class 2x2x2 target."""
+    def pair():
+        while True:
+            u, v = ([rng.randint(-3, 3) for _ in range(2)] for _ in range(2))
+            if u[0] * v[1] != u[1] * v[0]:
+                return u, v
+
+    (a1, a2), (b1, b2), (c1, c2) = (pair() for _ in range(3))
+    return reconstruct(make_decomposition((2, 2, 2), [(a1, b1, c1), (a2, b2, c2)]))
+
+
+def test_decide_is_monotone_in_the_level_count_on_the_ghz_orbit(monkeypatch):
+    # the exact step answers yes at every N from the flattening rank r up,
+    # with an r-term witness, and without the ALS search
+    monkeypatch.setattr(slocc, "als_search", lambda *args: pytest.fail("searched"))
+    spelled = make_tensor((2, 2, 2), {(0, 0, 0): Fraction(3, 2),
+                                      (1, 1, 1): Scalar(10, Fraction(3, 4))})
+    for n in (2, 3, 8):
+        verdict = decide_ghz_conversion(spelled, n)
+        assert (verdict.kind, verdict.upper_bound, len(verdict.witness.terms)) == ("yes", 2, 2)
+    rng = random.Random(19)
+    targets = [(ghz_class_target(rng), 2) for _ in range(10)]
+    for r in (3, 4):
+        ops = LocalOperatorTriple(*(invertible_matrix(rng, r, max_num=3, max_den=2)
+                                    for _ in range(3)))
+        targets.append((apply_local_operators(ops, builtin_state("GHZ", r)), r))
+    for target, r in targets:
+        for n in range(r, r + 4):
+            verdict = decide_ghz_conversion(target, n, search=n % 2 == 0)
+            assert (verdict.kind, verdict.lower_bound, verdict.upper_bound) == ("yes", r, r)
+            assert verify_decomposition(target, verdict.witness).ok
+            assert len(verdict.witness.terms) == r
+        assert decide_ghz_conversion(target, r - 1).kind == "no"
+
+
+def test_decide_outside_the_exact_step_keeps_its_verdicts(monkeypatch):
+    searches = []
+    als_search = slocc.als_search
+    monkeypatch.setattr(slocc, "als_search",
+                        lambda *args: searches.append(args[1]) or als_search(*args))
+    # pencil eigenvalues 1 +- sqrt(2): rank 2 over C, with no witness in Q(i)
+    sqrt2 = make_tensor((2, 2, 2), {(0, 0, 0): 1, (1, 1, 0): 1, (0, 1, 1): 2, (1, 0, 1): 1})
+    verdict = decide_ghz_conversion(sqrt2, 2)
+    assert (verdict.kind, verdict.lower_bound, verdict.upper_bound) == ("unknown", 2, None)
+    assert searches == [2]
+    w2 = builtin_state("W2")
+    for n in (5, 8):
+        assert decide_ghz_conversion(w2, n, search=False) == ConvertVerdict(
+            "unknown", lower_bound=4, upper_bound=None)
+    assert searches == [2]
+
+
+def test_decide_rationalizes_an_als_find_outside_the_exact_step(monkeypatch):
+    # GHZ(2) in 3x3x2 has no two legs of dimension 2, so the exact step
+    # does not apply and the ALS find is rationalized
+    calls = []
+    rationalize_result = slocc.rationalize_result
+    monkeypatch.setattr(slocc, "rationalize_result",
+                        lambda *args: calls.append(args) or rationalize_result(*args))
+    target = make_tensor((3, 3, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
+    verdict = decide_ghz_conversion(target, 2)
+    assert (verdict.kind, verdict.upper_bound) == ("yes", 2) and len(calls) == 1
+    assert verify_decomposition(target, verdict.witness).ok
 
 
 def test_decide_unknown_reports_bounds():

@@ -60,3 +60,34 @@ def test_tensors_and_decomp_read_targets_as_stored_integers():
     # converts Scalars to integers again
     for module in ("tensors.py", "decomp.py"):
         assert _imports(module) & {"distinct_objects", "gaussian_integers"} == set()
+
+
+def test_scalar_elimination_gains_no_package_caller():
+    # linalg's Scalar elimination is to be deleted once its last callers
+    # move to the modular rank: no other package code may start calling it
+    eliminations = {"rank", "rref", "det", "inverse", "in_span"}
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}"
+            if (isinstance(child, ast.Attribute) and child.attr in eliminations
+                    and isinstance(child.value, ast.Name) and child.value.id == "linalg"):
+                callers.add(f"{inner}: linalg.{child.attr}")
+            if isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+                callers.update(f"{inner}: imports {alias.name}" for alias in child.names
+                               if alias.name in eliminations)
+            visit(child, inner)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "linalg.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == {"tensors._leg_rank: linalg.rank", "tensors.support_basis: linalg.rref"}
+
+
+def test_the_exact_pencil_step_uses_no_generator_and_no_scalar_elimination():
+    # its weight pairs are fixed, so no seed reaches it, and it eliminates on
+    # Gaussian-integer pairs, not through linalg's Scalars
+    assert _imports("pencil.py") & {"random", "sampling", "linalg", "Scalar"} == set()

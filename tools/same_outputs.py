@@ -115,6 +115,13 @@ def write_inputs(root: Path) -> dict:
     signs[-1] = I.q(2)
     write("cancel-twin", I.decomposition_json((1, 1, 1), [((I.ONE,), (I.ONE,), (sign,))
                                                             for sign in signs]))
+    # drawn last, so every file above keeps its values: an image of GHZ(3),
+    # and a target of rank 2 over C whose pencil has eigenvalues 1 +- sqrt(2)
+    ops = [I.invertible_operator(rng, 3) for _ in range(3)]
+    write("ghz3-image", I.tensor_json((3, 3, 3), I.image(ops, (3, 3, 3), I.ghz(3))))
+    write("sqrt2", {"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": "1"}, {"i": [1, 1, 0], "re": "1"}, {"i": [0, 1, 1], "re": "2"},
+        {"i": [1, 0, 1], "re": "1"}]})
     return files
 
 
@@ -165,6 +172,11 @@ def corpus(f: dict) -> list:
         ["classify", f["spelled"]],
         ["convert", f["spelled"], "--ghz", "8", "--simulate"],
         ["convert", f["spelled-ghz"], "--ghz", "2", "--simulate"],
+        # the GHZ orbit at and above its rank, and a pencil with irrational eigenvalues
+        ["convert", f["spelled-ghz"], "--ghz", "3"],
+        ["convert", f["spelled-ghz"], "--ghz", "8"],
+        ["convert", f["ghz3-image"], "--ghz", "3", "--simulate"],
+        ["convert", f["sqrt2"], "--ghz", "2"],
         # numerators past int64
         ["rank", f["huge"]],
         ["rank", f["huge"], "--witness", f["huge-witness"]],
