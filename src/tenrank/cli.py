@@ -150,7 +150,9 @@ def _cmd_state(args) -> int:
 def _cmd_rank(args) -> int:
     t = _resolve_tensor(args.tensor, args.n, args.dims)
     bounds = rank_bounds(t)
-    ranks, lower, upper = bounds.flattening_ranks, bounds.lower, bounds.upper
+    # a caller's witness sets the upper bound, so the package's is not built
+    ranks, lower = bounds.flattening_ranks, bounds.lower
+    upper = None if args.witness else bounds.upper
     payload = {"flattening_ranks": ranks, "lower": lower}
     lines = [f"flattening ranks A={ranks['A']} B={ranks['B']} C={ranks['C']}"]
     if bounds.fact is not None:

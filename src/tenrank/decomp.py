@@ -5,7 +5,8 @@ A ProductDecomposition asserts T = sum_k a_k (x) b_k (x) c_k and is the
 package's currency for tensor-rank upper bounds: an ExactMatch from
 `verify_decomposition` certifies rank(T) <= r.  Lower bounds come from
 flattening ranks, the 2x2x2 rank test and the RankFacts registry of known
-exact ranks; `rank_bounds` combines them with the packaged witnesses.
+exact ranks; `rank_bounds` combines them with the packaged witnesses and
+the exact witnesses of simultaneous diagonalization (`tenrank.pencil`).
 """
 
 from __future__ import annotations
@@ -782,7 +783,7 @@ class RankBounds:
     """Everything the package knows about rank(target) without a caller's
     witness: the flattening ranks (leg -> rank), the registered fact
     (name, RankFact) or None, the 2x2x2 rank test's verdict (None for other
-    dims) and the packaged witness or None."""
+    dims) and the packaged or exact-step witness or None."""
 
     target: Tensor3
     flattening_ranks: dict
@@ -796,9 +797,21 @@ class RankBounds:
 
     @cached_property
     def witness(self) -> ProductDecomposition | None:
-        """Built and verified against the target on first use, so a verdict
-        the lower bound decides pays for no witness."""
-        return None if self.fact is None else builtin_witness(self.target, self.fact[0])
+        """The packaged witness of the registered fact; without a fact, when
+        no lower bound exceeds the largest flattening rank r, the exact
+        r-term witness of simultaneous diagonalization for a target in the
+        GHZ(r) orbit (`pencil.diagonal_witness`), or None.  Built and
+        verified against the target on first use, so a verdict the lower
+        bound decides pays for no witness."""
+        if self.fact is not None:
+            return builtin_witness(self.target, self.fact[0])
+        if self.lower > max(self.flattening_ranks.values()):
+            return None
+        # imported on first use, so a caller that needs no witness does not
+        # load it (about 0.7 MB of code objects, compiled from source)
+        from .pencil import diagonal_witness
+
+        return diagonal_witness(self.target, self.flattening_ranks)
 
     @property
     def upper(self) -> int | None:
@@ -807,8 +820,9 @@ class RankBounds:
 
 def rank_bounds(t: Tensor3) -> RankBounds:
     """The lower and upper rank bounds of t from flattenings, the
-    RankFacts registry, the 2x2x2 rank test and the packaged witnesses; the
-    one place these sources are combined."""
+    RankFacts registry, the 2x2x2 rank test, the packaged witnesses and
+    simultaneous diagonalization; the one place these sources are
+    combined."""
     return RankBounds(t, flattening_ranks(t), DEFAULT_RANK_FACTS.lookup(t),
                       rank_leq2_test_2x2x2(t) if t.dims == (2, 2, 2) else None)
 

@@ -6,24 +6,28 @@ combinations of its slices is diagonalized by the same bases: its
 eigenvectors give the a- and b-vectors of an r-term witness (Jennrich's
 algorithm).  Floats only propose the eigenvalues: each is confirmed, and
 the kernels and the witness are computed, exactly on Gaussian integers held
-as (re, im) pairs of Python ints (matrices as lists of rows of them), and
-the dense verifier judges the result.
+as (re, im) pairs of Python ints by the elimination kernel of `scalars`,
+and the dense verifier judges the result.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
 import numpy as np
 
 from .decomp import ArrayTerms, ProductDecomposition, require_witness
 from .errors import WitnessMismatch
-from .scalars import Leg, _lowest, _over_lcm
+from .scalars import Leg, _echelon, _gdot, _gmul, _gsub, _kernel_vector, _lowest, _over_lcm
 from .tensors import Tensor3, flattening_ranks
 
 #: the pencils' weight pairs as Vandermonde nodes (t0, t1): X0 = sum_l t0^l S_l
 #: and X1 = sum_l t1^l S_l over the slices S_l
 _PENCIL_NODES = ((0, 1), (1, -1), (-1, 2), (2, -3))
+
+#: the largest denominator of an eigenvalue part read by rational
+#: reconstruction, when rounding L lam fails
+_RECONSTRUCTION_DEN = 1 << 24
 
 
 def diagonal_witness(t: Tensor3, ranks: dict | None = None) -> ProductDecomposition | None:
@@ -35,10 +39,11 @@ def diagonal_witness(t: Tensor3, ranks: dict | None = None) -> ProductDecomposit
     the largest flattening rank (`ranks`, computed when not given); the
     third indexes the slices S_l.  For each fixed weight pair the pencil
     X1 - lam X0 is solved: floats only propose its eigenvalues, and as L lam
-    lies in Z[i] for L = det X0, each is rounded there.  A pair is skipped
-    when det X0 = 0, the rounded eigenvalues are not r distinct values, the
-    floats overflow, or some X1 - lam X0 has a right or left kernel (z, y)
-    of dimension other than one, all decided exactly.  Then
+    lies in Z[i] for L = det X0, each is rounded there, or else read by
+    rational reconstruction.  A proposal fails when its eigenvalues are not
+    r distinct values or some X1 - lam X0 has a right or left kernel (z, y)
+    of dimension other than one, all decided exactly; a pair is skipped
+    when det X0 = 0, the floats overflow, or both proposals fail.  Then
     a = X0 z, b = X0^T y and c_l = y^T S_l z / (y^T X0 z)^2 per eigenvalue.
     The witness passes require_witness before it is returned; None never
     means that no r-term witness exists.
@@ -60,18 +65,10 @@ def diagonal_witness(t: Tensor3, ranks: dict | None = None) -> ProductDecomposit
         if len(pivots) < r:
             continue
         lead = rows[-1][-1]  # +-det X0
-        roots = _rounded_roots(x0, x1, lead)
-        if roots is None or len(set(roots)) < r:
-            continue
-        terms = []
-        for g in roots:
-            pencil = [[_gsub(_gmul(lead, p), _gmul(g, q)) for p, q in zip(*pair)]
-                      for pair in zip(x1, x0)]
-            z, y = _kernel_vector(pencil), _kernel_vector(list(zip(*pencil)))
-            if z is None or y is None:
-                break
-            terms.append(_diagonal_term(slices, x0, z, y, den))
-        else:
+        for roots in _proposed_roots(x0, x1, lead):
+            terms = _diagonal_terms(slices, x0, x1, lead, roots, den)
+            if terms is None:
+                continue
             legs = [None] * 3
             for k, vectors in zip(order, zip(*terms)):
                 legs[k] = _over_common_den(*zip(*vectors))
@@ -82,29 +79,6 @@ def diagonal_witness(t: Tensor3, ranks: dict | None = None) -> ProductDecomposit
     return None
 
 
-def _gmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gsub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _gdiv(x, p):
-    """x / p for Gaussian integers p dividing x."""
-    (re, im), norm = _gmul(x, (p[0], -p[1])), p[0] ** 2 + p[1] ** 2
-    return (re // norm, im // norm)
-
-
-def _gdot(xs, ys):
-    """sum_k xs[k] ys[k] over Gaussian integers."""
-    re = im = 0
-    for (a, b), (c, d) in zip(xs, ys):
-        re += a * c - b * d
-        im += a * d + b * c
-    return (re, im)
-
-
 def _combination(slices, node: int) -> list:
     """sum_l node^l slices[l]."""
     weights = [node ** l for l in range(len(slices))]
@@ -112,61 +86,65 @@ def _combination(slices, node: int) -> list:
              for entries in zip(*rows)] for rows in zip(*slices)]
 
 
-def _echelon(m) -> tuple[list, list]:
-    """Fraction-free (Bareiss) row echelon form of a Gaussian-integer
-    matrix: its nonzero rows and their pivot columns.  Every entry is a
-    minor of m (Sylvester's identity), so each division by the previous
-    pivot is exact in Z[i], and a nonsingular square m ends in the pivot
-    +-det m."""
-    rows, pivots, prev = [list(row) for row in m], [], (1, 0)
-    for c in range(len(rows[0])):
-        k = len(pivots)
-        p = next((i for i in range(k, len(rows)) if rows[i][c] != (0, 0)), None)
-        if p is None:
-            continue
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k][c]
-        for i in range(k + 1, len(rows)):
-            factor = rows[i][c]
-            rows[i] = [_gdiv(_gsub(_gmul(pivot, x), _gmul(factor, y)), prev)
-                       for x, y in zip(rows[i], rows[k])]
-        prev = pivot
-        pivots.append(c)
-    return rows[:len(pivots)], pivots
-
-
-def _kernel_vector(m) -> list | None:
-    """A vector spanning the right kernel of the Gaussian-integer matrix m,
-    with coprime parts, when that kernel has dimension one; None otherwise."""
-    rows, pivots = _echelon(m)
-    n = len(m[0])
-    if len(pivots) != n - 1:
-        return None
-    x = [(0, 0)] * n
-    x[min(set(range(n)) - set(pivots))] = (1, 0)
-    # back substitution: scale x by each pivot, then solve that row's unknown
-    for row, c in zip(reversed(rows), reversed(pivots)):
-        s = _gdot(row[c + 1:], x[c + 1:])
-        x = [_gmul(row[c], v) for v in x]
-        x[c] = (-s[0], -s[1])
-        g = math.gcd(*(part for v in x for part in v))
-        x = [(v[0] // g, v[1] // g) for v in x]
-    return x
-
-
-def _rounded_roots(x0, x1, lead) -> list | None:
-    """L lam rounded to Gaussian integers, L = lead, for the float
-    eigenvalues lam of X0^-1 X1; None when the floats overflow or X0 is
-    singular in floats."""
+def _proposed_roots(x0, x1, lead):
+    """Proposals for L lam in Z[i], L = lead, from the float eigenvalues lam
+    of X0^-1 X1: first each L lam rounded, then, when that differs, each
+    part of lam read as the nearest fraction with denominator at most
+    _RECONSTRUCTION_DEN, provided every L lam so read lies in Z[i].  Nothing
+    is proposed when the floats overflow or X0 is singular in floats."""
     try:
         f0, f1 = (np.array([[complex(*z) for z in row] for row in x], dtype=np.complex128)
                   for x in (x0, x1))
-        scaled = complex(*lead) * np.linalg.eigvals(np.linalg.solve(f0, f1))
+        lams = np.linalg.eigvals(np.linalg.solve(f0, f1))
     except (OverflowError, np.linalg.LinAlgError):
+        return
+    if not np.isfinite(lams).all():
+        return
+    rounded = _rounded_roots(lead, lams)
+    if rounded is not None:
+        yield rounded
+    exact = [_gaussian_times(lead, lam) for lam in lams.tolist()]
+    if None not in exact and exact != rounded:
+        yield exact
+
+
+def _rounded_roots(lead, lams: np.ndarray) -> list | None:
+    """L lam rounded to Gaussian integers, L = lead, for the float
+    eigenvalues lams; None when the products overflow."""
+    try:
+        scaled = complex(*lead) * lams
+    except OverflowError:
         return None
     if not np.isfinite(scaled).all():
         return None
     return [(round(z.real), round(z.imag)) for z in scaled.tolist()]
+
+
+def _gaussian_times(lead, lam: complex) -> tuple | None:
+    """lead times lam, its parts read by rational reconstruction, as a
+    Gaussian integer; None when the product is not one."""
+    p, q = (Fraction(part).limit_denominator(_RECONSTRUCTION_DEN) for part in (lam.real, lam.imag))
+    re, im = lead[0] * p - lead[1] * q, lead[0] * q + lead[1] * p
+    if re.denominator != 1 or im.denominator != 1:
+        return None
+    return (re.numerator, im.numerator)
+
+
+def _diagonal_terms(slices, x0, x1, lead, roots, den) -> list | None:
+    """The r terms of the proposed roots g = L lam, or None unless they are
+    r distinct values whose pencils L X1 - g X0 all have one-dimensional
+    right and left kernels."""
+    if len(set(roots)) < len(roots):
+        return None
+    terms = []
+    for g in roots:
+        pencil = [[_gsub(_gmul(lead, p), _gmul(g, q)) for p, q in zip(*pair)]
+                  for pair in zip(x1, x0)]
+        z, y = _kernel_vector(pencil), _kernel_vector(list(zip(*pencil)))
+        if z is None or y is None:
+            return None
+        terms.append(_diagonal_term(slices, x0, z, y, den))
+    return terms
 
 
 def _diagonal_term(slices, x0, z, y, den: int) -> tuple:

@@ -9,7 +9,8 @@ JSON encoding used by all file formats ("p/q" fraction strings).
 Arrays of exact values are held as Gaussian integers: `Leg` numerator
 arrays over one least common denominator, the one array format of tensors
 and decompositions, which this module converts to and from Scalars and
-JSON.
+JSON.  Matrices of Gaussian integers are eliminated here too, by the
+package's one exact elimination kernel (fraction-free, over Z[i]).
 """
 
 from __future__ import annotations
@@ -227,6 +228,77 @@ def _mapped(m, leg: Leg) -> Leg:
     dtype = _int_dtype(2 * op.re.shape[1] * (_max_abs(op) or 1) * (_max_abs(leg) or 1))
     xr, xi, mr, mi = (part.astype(dtype) for part in (leg.re, leg.im, op.re.T, op.im.T))
     return _lowest(xr @ mr - xi @ mi, xr @ mi + xi @ mr, leg.den * op.den)
+
+
+# -- Gaussian-integer elimination ---------------------------------------------
+#
+# Gaussian integers as (re, im) pairs of Python ints, matrices as lists of
+# rows of them: the one exact elimination kernel of the package.
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gsub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _gdiv(x, p):
+    """x / p for Gaussian integers p dividing x."""
+    (re, im), norm = _gmul(x, (p[0], -p[1])), p[0] ** 2 + p[1] ** 2
+    return (re // norm, im // norm)
+
+
+def _gdot(xs, ys):
+    """sum_k xs[k] ys[k] over Gaussian integers."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return (re, im)
+
+
+def _echelon(m) -> tuple[list, list]:
+    """Fraction-free (Bareiss) row echelon form of a Gaussian-integer
+    matrix: its nonzero rows and their pivot columns.  Every entry is a
+    minor of m (Sylvester's identity), so each division by the previous
+    pivot is exact in Z[i], and a nonsingular square m ends in the pivot
+    +-det m."""
+    rows, pivots, prev = [list(row) for row in m], [], (1, 0)
+    for c in range(len(rows[0])):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if rows[i][c] != (0, 0)), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][c]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][c]
+            rows[i] = [_gdiv(_gsub(_gmul(pivot, x), _gmul(factor, y)), prev)
+                       for x, y in zip(rows[i], rows[k])]
+        prev = pivot
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _kernel_vector(m) -> list | None:
+    """A vector spanning the right kernel of the Gaussian-integer matrix m,
+    with coprime parts, when that kernel has dimension one; None otherwise."""
+    rows, pivots = _echelon(m)
+    n = len(m[0])
+    if len(pivots) != n - 1:
+        return None
+    x = [(0, 0)] * n
+    x[min(set(range(n)) - set(pivots))] = (1, 0)
+    # back substitution: scale x by each pivot, then solve that row's unknown
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        s = _gdot(row[c + 1:], x[c + 1:])
+        x = [_gmul(row[c], v) for v in x]
+        x[c] = (-s[0], -s[1])
+        g = math.gcd(*(part for v in x for part in v))
+        x = [(v[0] // g, v[1] // g) for v in x]
+    return x
 
 
 # -- JSON encoding -----------------------------------------------------------

@@ -243,15 +243,6 @@ def decide_ghz_conversion(target: Tensor3, n: int,
     if bounds.upper is not None and bounds.upper <= n:
         return ConvertVerdict("yes", witness=bounds.witness,
                               upper_bound=bounds.upper, lower_bound=lower)
-    if lower == flattening:  # a lower bound above r rules out an r-term witness
-        # imported on first use, so a caller that decides no conversion does
-        # not load it (about 0.7 MB of code objects, compiled from source)
-        from .pencil import diagonal_witness
-
-        exact = diagonal_witness(target, bounds.flattening_ranks)
-        if exact is not None:
-            return ConvertVerdict("yes", witness=exact, upper_bound=flattening,
-                                  lower_bound=lower)
 
     if search:
         found = als_search(target, n, als_cfg)

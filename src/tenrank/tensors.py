@@ -29,6 +29,7 @@ from .scalars import (
     ZERO,
     Leg,
     Scalar,
+    _echelon,
     _int_dtype,
     _lowest,
     _mapped,
@@ -288,7 +289,23 @@ def _leg_rank(t: Tensor3, residues: np.ndarray, leg: str) -> int:
     rank = _rank_mod_p(m.T.copy() if m.shape[1] > m.shape[0] else m.copy())
     if rank == min(m.shape):
         return rank
-    return linalg.rank(flattening(t, leg))
+    return len(_pruned_echelon(t, axis)[0])
+
+
+def _pruned_echelon(t: Tensor3, axis: int) -> tuple[list, list]:
+    """The fraction-free echelon rows (`scalars._echelon`, one per pivot)
+    of the flattening along `axis` restricted to its nonzero rows and
+    columns, read from t's support and numerators as (re, im) pairs, and
+    the flattening's column index of each column; no rows for t = 0."""
+    index = np.unravel_index(t.support, t.dims)
+    j, k = (other for other in range(3) if other != axis)
+    rows, row_of = np.unique(index[axis], return_inverse=True)
+    cols, col_of = np.unique(index[j] * t.dims[k] + index[k], return_inverse=True)
+    m = [[(0, 0)] * len(cols) for _ in rows]
+    re, im, _ = t.values
+    for r, c, x, y in zip(row_of.tolist(), col_of.tolist(), re.tolist(), im.tolist()):
+        m[r][c] = (x, y)
+    return (_echelon(m)[0] if m else []), cols.tolist()
 
 
 def flattening_rank(t: Tensor3, leg: str) -> int:
@@ -298,7 +315,8 @@ def flattening_rank(t: Tensor3, leg: str) -> int:
     lower bound for tensor rank.  The zero tensor has rank 0.  The
     flattening is ranked modulo PRIME first: reduction mod p can only lower
     a rank, so a result equal to min(rows, cols) is exact, and any other
-    result is recomputed by exact elimination (`linalg.rank`).
+    result is recomputed by fraction-free elimination over Z[i] on the
+    flattening's nonzero rows and columns (`scalars._echelon`).
     """
     if leg not in LEGS:
         raise InputError(f"unknown leg {leg!r}, expected one of {LEGS}")
@@ -319,13 +337,20 @@ def max_flattening_rank(t: Tensor3) -> int:
 def support_basis(t: Tensor3) -> list:
     """A basis of the span of the c-slices of T, as dA x dB matrices.
 
-    Computed by exact elimination on the vectorized slices; the result has
+    The fraction-free echelon rows of the C-flattening's nonzero rows and
+    columns, scattered back into the flattening's columns; the result has
     exactly flattening_rank(T, "C") elements and spans the same space as
     the support of the two-party reduced state on legs A and B.
     """
     da, db, _ = t.dims
-    reduced, _ = linalg.rref(flattening(t, "C"))
-    return [tuple(row[a * db:(a + 1) * db] for a in range(da)) for row in reduced]
+    rows, cols = _pruned_echelon(t, 2)
+    basis = []
+    for row in rows:
+        dense = [ZERO] * (da * db)
+        for col, (x, y) in zip(cols, row):
+            dense[col] = Scalar(x, y)
+        basis.append(tuple(tuple(dense[a * db:(a + 1) * db]) for a in range(da)))
+    return basis
 
 
 @dataclass(frozen=True)

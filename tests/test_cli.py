@@ -126,6 +126,33 @@ def test_rank_ghz_builtin_upper(capsys):
     assert "upper=2 lower=2 rank=2" in out
 
 
+def test_rank_reports_the_exact_step_upper_bound(capsys, tmp_path):
+    # a GHZ-class target no registered fact names: simultaneous
+    # diagonalization gives the 2-term witness that `convert --ghz 2` uses
+    path = tmp_path / "ghz-class.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": "2"}, {"i": [0, 0, 1], "re": "-1"},
+        {"i": [0, 1, 0], "re": "1/3"}, {"i": [1, 0, 1], "re": "3", "im": "1"},
+        {"i": [1, 1, 1], "re": "-5"}]}))
+    code, out, _ = run(capsys, "rank", str(path))
+    assert code == 0
+    assert out.splitlines() == ["flattening ranks A=2 B=2 C=2", "upper=2 lower=2 rank=2"]
+    code, out, _ = run(capsys, "--json", "rank", str(path))
+    assert code == 0
+    assert json.loads(out) == {"flattening_ranks": {"A": 2, "B": 2, "C": 2}, "lower": 2,
+                               "upper": 2}
+    code, out, _ = run(capsys, "--json", "convert", str(path), "--ghz", "2")
+    assert code == 0 and json.loads(out)["upper_bound"] == 2
+    # p e000 + e111, all of whose flattenings lose rank mod p, and numerators
+    # past int64
+    for entries in ([{"i": [0, 0, 0], "re": "2147483629"}, {"i": [1, 1, 1], "re": "1"}],
+                    [{"i": [0, 0, 0], "re": str(2 ** 63 + 5)},
+                     {"i": [1, 1, 1], "re": "1/3", "im": str(2 ** 63 + 5)}]):
+        path.write_text(json.dumps({"dims": [2, 2, 2], "entries": entries}))
+        code, out, _ = run(capsys, "rank", str(path))
+        assert code == 0 and out.splitlines()[-1] == "upper=2 lower=2 rank=2"
+
+
 def test_rank_w_als_border(capsys):
     code, out, _ = run(capsys, "rank", "W", "--als", "2")
     assert code == 0

@@ -62,7 +62,7 @@ from tenrank.decomp import (
 )
 from tenrank.errors import InputError, ResourceError, WitnessMismatch
 from tenrank.pencil import diagonal_witness
-from tenrank.scalars import ZERO, Scalar, scalar_from_json
+from tenrank.scalars import ZERO, Scalar, _echelon, _gdot, _gmul, _kernel_vector, scalar_from_json
 from tenrank.tensors import (
     LocalOperatorTriple,
     Tensor3,
@@ -1197,16 +1197,16 @@ def test_diagonal_witness_is_none_outside_its_scope(monkeypatch):
     assert [result.ok for result in checked] == [False]
 
 
-def random_gaussian_matrix(rng, n, rank):
-    """An n x n Gaussian-integer matrix of (generically) the given rank, as
-    rows of (re, im) pairs: the product of random n x rank and rank x n
-    factors."""
+def random_gaussian_matrix(rng, n, rank, cols=None):
+    """An n x cols (default n x n) Gaussian-integer matrix of (generically)
+    the given rank, as rows of (re, im) pairs: the product of random
+    n x rank and rank x cols factors."""
     def entries(rows, cols):
         return [[(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(cols)]
                 for _ in range(rows)]
 
-    left, right = entries(n, rank), entries(rank, n)
-    return [[pencil._gdot(row, col) for col in zip(*right)] for row in left]
+    left, right = entries(n, rank), entries(rank, n if cols is None else cols)
+    return [[_gdot(row, col) for col in zip(*right)] for row in left]
 
 
 def leibniz_det(m):
@@ -1216,7 +1216,7 @@ def leibniz_det(m):
         inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
         term = (-1 if inversions % 2 else 1, 0)
         for row, col in enumerate(perm):
-            term = pencil._gmul(term, m[row][col])
+            term = _gmul(term, m[row][col])
         total = (total[0] + term[0], total[1] + term[1])
     return total
 
@@ -1230,17 +1230,29 @@ def test_fraction_free_echelon_and_kernel_on_seeded_matrices():
         n = rng.randint(1, 5)
         rank = rng.randint(max(1, n - 2), n)
         m = random_gaussian_matrix(rng, n, rank)
-        rows, pivots = pencil._echelon(m)
+        rows, pivots = _echelon(m)
         assert len(pivots) == rank
         if rank == n:
             det, lead = leibniz_det(m), rows[-1][-1]
             assert det in (lead, (-lead[0], -lead[1])) and det != (0, 0)
-        z = pencil._kernel_vector(m)
+        z = _kernel_vector(m)
         if rank != n - 1:
             assert z is None
             continue
         assert any(map(any, z)) and math.gcd(*(x for v in z for x in v)) == 1
-        assert all(pencil._gdot(row, z) == (0, 0) for row in m)
+        assert all(_gdot(row, z) == (0, 0) for row in m)
+    # wide and tall rank-deficient matrices, as the flattening ranks pass
+    # them, against sympy's rank; the echelon rows span the row space
+    wide = set()
+    for _ in range(8):
+        rows, cols = rng.sample(range(2, 6), 2)
+        wide.add(rows < cols)
+        m = random_gaussian_matrix(rng, rows, rng.randint(1, min(rows, cols) - 1), cols)
+        echelon, pivots = _echelon(m)
+        rank = oracle_rank([[Scalar(*x) for x in row] for row in m])
+        assert len(pivots) == len(echelon) == rank < min(rows, cols)
+        assert linalg.rank([[Scalar(*x) for x in row] for row in m + echelon]) == rank
+    assert wide == {True, False}
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import invertible_matrix, mat_mul, matrix, oracle_rank
 
-from tenrank import decomp, linalg, sampling, slocc, tensors
+from tenrank import decomp, linalg, pencil, sampling, slocc, tensors
 from tenrank.bilinear import phi3_matmul_witness
 from tenrank.decomp import (
     Rank222,
@@ -348,6 +348,27 @@ def test_decide_is_monotone_in_the_level_count_on_the_ghz_orbit(monkeypatch):
             assert verify_decomposition(target, verdict.witness).ok
             assert len(verdict.witness.terms) == r
         assert decide_ghz_conversion(target, r - 1).kind == "no"
+
+
+def test_decide_reconstructs_the_eigenvalues_of_ghz_images(monkeypatch):
+    # rounding L lam from floats misses on these images of GHZ(4) and GHZ(5);
+    # each part of lam read as a fraction gives the exact eigenvalues, so the
+    # exact step decides without the ALS search
+    monkeypatch.setattr(slocc, "als_search", lambda *args: pytest.fail("searched"))
+    targets = []
+    for r in (4, 5):
+        rng = random.Random(60 + r)
+        for _ in range(3):
+            ops = LocalOperatorTriple(*(invertible_matrix(rng, r, complex_parts=True)
+                                        for _ in range(3)))
+            targets.append((apply_local_operators(ops, builtin_state("GHZ", r)), r))
+    for target, r in targets:
+        verdict = decide_ghz_conversion(target, r)
+        assert (verdict.kind, verdict.lower_bound, verdict.upper_bound) == ("yes", r, r)
+        assert verify_decomposition(target, verdict.witness).ok
+    monkeypatch.setattr(pencil, "_gaussian_times", lambda *args: None)
+    for target, r in targets:
+        assert pencil.diagonal_witness(target) is None
 
 
 def test_decide_outside_the_exact_step_keeps_its_verdicts(monkeypatch):

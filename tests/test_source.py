@@ -63,8 +63,8 @@ def test_tensors_and_decomp_read_targets_as_stored_integers():
 
 
 def test_scalar_elimination_gains_no_package_caller():
-    # linalg's Scalar elimination is to be deleted once its last callers
-    # move to the modular rank: no other package code may start calling it
+    # exact ranks and bases run on the Gaussian-integer kernel in `scalars`:
+    # linalg's Scalar elimination has no package caller left and gains none
     eliminations = {"rank", "rref", "det", "inverse", "in_span"}
     callers = set()
 
@@ -84,10 +84,12 @@ def test_scalar_elimination_gains_no_package_caller():
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name != "linalg.py":
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert callers == {"tensors._leg_rank: linalg.rank", "tensors.support_basis: linalg.rref"}
+    assert callers == set()
 
 
 def test_the_exact_pencil_step_uses_no_generator_and_no_scalar_elimination():
     # its weight pairs are fixed, so no seed reaches it, and it eliminates on
-    # Gaussian-integer pairs, not through linalg's Scalars
+    # Gaussian-integer pairs, not through linalg's Scalars; so does the
+    # elimination kernel it shares with the flattening ranks
     assert _imports("pencil.py") & {"random", "sampling", "linalg", "Scalar"} == set()
+    assert _imports("scalars.py") & {"random", "sampling", "linalg"} == set()

@@ -122,6 +122,17 @@ def write_inputs(root: Path) -> dict:
     write("sqrt2", {"dims": [2, 2, 2], "entries": [
         {"i": [0, 0, 0], "re": "1"}, {"i": [1, 1, 0], "re": "1"}, {"i": [0, 1, 1], "re": "2"},
         {"i": [1, 0, 1], "re": "1"}]})
+    # drawn after the above: an image of GHZ(4), whose pencil eigenvalues
+    # rounding from floats misses; a GHZ-class target no registered fact
+    # names; and PHI3 (x) PHI3 (x) e000, every flattening rank-deficient
+    ops = [I.invertible_operator(rng, 4) for _ in range(3)]
+    write("ghz4-image", I.tensor_json((4, 4, 4), I.image(ops, (4, 4, 4), I.ghz(4))))
+    write("ghz-class-fixed", {"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": "2"}, {"i": [0, 0, 1], "re": "-1"},
+        {"i": [0, 1, 0], "re": "1/3"}, {"i": [1, 0, 1], "re": "3", "im": "1"},
+        {"i": [1, 1, 1], "re": "-5"}]})
+    write("phi3sq-e000", I.tensor_json((32, 32, 32), I.kron_tensor(
+        phi3sq, (2, 2, 2), {(0, 0, 0): I.ONE})))
     return files
 
 
@@ -177,6 +188,10 @@ def corpus(f: dict) -> list:
         ["convert", f["spelled-ghz"], "--ghz", "8"],
         ["convert", f["ghz3-image"], "--ghz", "3", "--simulate"],
         ["convert", f["sqrt2"], "--ghz", "2"],
+        ["convert", f["ghz4-image"], "--ghz", "4"],
+        # rank upper bounds from the exact step, and the exact flattening fallback
+        ["rank", f["ghz-class-fixed"]],
+        ["rank", f["phi3sq-e000"]],
         # numerators past int64
         ["rank", f["huge"]],
         ["rank", f["huge"], "--witness", f["huge-witness"]],
