@@ -9,10 +9,10 @@ Every program runs through one level-batched executor: `evaluate_bilinear`
 (one level on vectors), `run_bilinear_matmul` (one level on a verified
 program's matrices), `strassen_multiply` (Strassen's verified 7-product
 program applied recursively, exact) and `strassen_multiply_float` (the same
-recursion on complex128).  A program's coefficients are converted once into
-sparse Gaussian-integer rows; operands are converted to integer arrays at
-the boundary and back to Scalars only at the end, and operation counts
-match a per-scalar evaluation exactly.  `naive_multiply` stays a per-Scalar
+recursion on complex128).  A program is its decomposition, whose Legs are
+converted once into sparse Gaussian-integer rows; operands are converted
+to integer arrays at the boundary and back to Scalars only at the end, and
+operation counts match a per-scalar evaluation exactly.  `naive_multiply` stays a per-Scalar
 schoolbook product, independent of the executor, for checking it.
 """
 
@@ -22,26 +22,24 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .decomp import (
-    ArrayTerms,
     ProductDecomposition,
+    leg_arrays,
     make_decomposition,
     require_witness,
     strassen7_decomposition,
-    term_values,
 )
 from .errors import InputError, StateError
 from .scalars import (
-    ONE,
     ZERO,
+    Leg,
     Scalar,
-    from_gaussian,
+    _int_leg,
     gaussian_integers,
     scalar_from_json,
     scalar_to_json,
@@ -91,26 +89,13 @@ def matmul_power_relabeling(m: int, n: int, p: int, copies: int) -> LocalOperato
     if min(m, n, p, copies) < 1:
         raise InputError("dimensions and copies must be positive")
 
-    def perm(rows_dim: int, cols_dim: int) -> tuple:
-        pair_dim = rows_dim * cols_dim
-        size = pair_dim ** copies
-        targets = []
-        for source in range(size):
-            digits = []
-            rest = source
-            for _ in range(copies):
-                rest, digit = divmod(rest, pair_dim)
-                digits.append(digit)
-            digits.reverse()
-            row = col = 0
-            for digit in digits:
-                row = row * rows_dim + digit // cols_dim
-                col = col * cols_dim + digit % cols_dim
-            targets.append(row * cols_dim ** copies + col)
-        return tuple(
-            tuple(ONE if targets[s] == t else ZERO for s in range(size))
-            for t in range(size)
-        )
+    def perm(rows_dim: int, cols_dim: int) -> Leg:
+        # a big index's digits: every copy's row digit, then every column
+        # digit; a power index's: each copy's (row, column) pair in turn
+        big = np.arange((rows_dim * cols_dim) ** copies).reshape(
+            (rows_dim,) * copies + (cols_dim,) * copies)
+        order = [axis for k in range(copies) for axis in (k, copies + k)]
+        return _int_leg(np.eye(big.size, dtype=np.int64)[:, big.transpose(order).ravel()])
 
     return LocalOperatorTriple(perm(m, n), perm(n, p), perm(m, p))
 
@@ -123,13 +108,8 @@ def phi3_matmul_witness() -> LocalOperatorTriple:
     Computed once by matching the two index patterns and locked by the
     exact equality test apply_local_operators(L, MATMUL(2,2,2)) == PHI3.
     """
-    swap = (
-        (ONE, ZERO, ZERO, ZERO),
-        (ZERO, ZERO, ONE, ZERO),
-        (ZERO, ONE, ZERO, ZERO),
-        (ZERO, ZERO, ZERO, ONE),
-    )
-    return LocalOperatorTriple(swap, linalg.identity(4), linalg.identity(4))
+    unit = np.eye(4, dtype=np.int64)
+    return LocalOperatorTriple(*map(_int_leg, (unit[[0, 2, 1, 3]], unit, unit)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,47 +145,41 @@ class MulCount:
 
 @dataclass(frozen=True)
 class BilinearProgram:
-    """r non-scalar products M_k = (u[k].a)(v[k].b) plus the output
-    recombination f_l = sum_k w[l][k] M_k.
+    """The bilinear algorithm a rank-r decomposition is: r non-scalar
+    products M_k = (a_k . x)(b_k . y) of the a- and b-vectors with the
+    inputs, and the outputs f_l = sum_k c_k[l] M_k.
 
-    u is r x dA, v is r x dB, w is dC x r; the program reproduces the
-    originating tensor's bilinear forms exactly and r equals the term
-    count of the decomposition it came from.
+    The program reproduces the decomposition's tensor's bilinear forms
+    exactly, and r is its term count.
     """
 
-    u: tuple
-    v: tuple
-    w: tuple
+    decomposition: ProductDecomposition
     verified_matmul: tuple | None = None
 
     @property
     def r(self) -> int:
-        return len(self.u)
+        return len(self.decomposition.terms)
 
     def dims(self) -> tuple:
-        da = len(self.u[0]) if self.u else 0
-        db = len(self.v[0]) if self.v else 0
-        dc = len(self.w)
-        return (da, db, dc)
+        return self.decomposition.dims
 
     @cached_property
     def _prepared(self) -> _Prepared:
-        """u, v and w as sparse Gaussian-integer rows, built on first use."""
-        return _Prepared(_sparse_rows(self.u), _sparse_rows(self.v), _sparse_rows(self.w))
+        """The a-leg, the b-leg and the transposed c-leg as sparse
+        Gaussian-integer rows, built on first use."""
+        a, b, c = leg_arrays(self.decomposition)
+        return _Prepared(_sparse_rows(a), _sparse_rows(b),
+                         _sparse_rows(Leg(c.re.T, c.im.T, c.den)))
 
 
 def to_bilinear(d: ProductDecomposition) -> BilinearProgram:
-    """Decomposition -> program: u rows are the a-vectors, v rows the
-    b-vectors, w columns the c-vectors; one Scalar per distinct value."""
-    u, v, c = (tuple(map(tuple, rows)) for rows in term_values(d, from_gaussian))
-    w = tuple(tuple(row[l] for row in c) for l in range(d.dims[2]))
-    return BilinearProgram(u, v, w)
+    """Decomposition -> program: the decomposition itself."""
+    return BilinearProgram(d)
 
 
 def from_bilinear(p: BilinearProgram) -> ProductDecomposition:
     """Program -> decomposition; exact inverse of to_bilinear."""
-    terms = [(p.u[k], p.v[k], tuple(row[k] for row in p.w)) for k in range(p.r)]
-    return ProductDecomposition(p.dims(), ArrayTerms.from_terms(terms, p.dims()))
+    return p.decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +215,11 @@ class _Rows(NamedTuple):
     den: int
 
 
-def _sparse_rows(matrix) -> _Rows:
-    re, im, den = gaussian_integers(c for row in matrix for c in row)
-    entries = iter(zip(re, im))
+def _sparse_rows(leg: Leg) -> _Rows:
+    den = leg.den
     rows, ops = [], []
-    for row in matrix:
-        nonzero = [(j, cr, ci) for j, (cr, ci) in enumerate(islice(entries, len(row)))
-                   if cr or ci]
+    for row_re, row_im in zip(leg.re.tolist(), leg.im.tolist()):
+        nonzero = [(j, cr, ci) for j, (cr, ci) in enumerate(zip(row_re, row_im)) if cr or ci]
         rows.append(tuple(nonzero))
         scaled = sum(ci != 0 or cr not in (den, -den) for _, cr, ci in nonzero)
         ops.append(max(len(nonzero) - 1, 0) + scaled)
@@ -427,7 +399,7 @@ def verify_for_matmul(p: BilinearProgram, m: int, n: int, k: int) -> BilinearPro
     """Certify a program against the <m,n,k> tensor; returns a copy marked
     as verified and prepared for the executor, which run_bilinear_matmul
     requires.  A program that does not compute it raises WitnessMismatch."""
-    require_witness(matmul_tensor(m, n, k), from_bilinear(p))
+    require_witness(matmul_tensor(m, n, k), p.decomposition)
     verified = replace(p, verified_matmul=(m, n, k))
     verified._prepared  # built once here, so runs of the program never rebuild it
     return verified

@@ -120,6 +120,13 @@ def _resolve_witness(arg: str):
         raise _CliError(f"cannot parse witness {arg}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, payload: dict, human_lines):
     if args.json:
         print(json.dumps(payload))
@@ -137,8 +144,7 @@ def _cmd_state(args) -> int:
     t = _resolve_tensor(args.name, args.n, args.dims)
     payload = {"dims": list(t.dims), "nonzeros": t.nnz()}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(tensor_to_json(t), fh, indent=2)
+        _write_text(args.out, json.dumps(tensor_to_json(t), indent=2))
         payload["out"] = args.out
     lines = [f"dims {list(t.dims)}  nonzeros {t.nnz()}"]
     if args.out:
@@ -185,8 +191,8 @@ def _cmd_rank(args) -> int:
         if found.found:
             lines.append(f"als r={args.als}: Found, residual={found.residual:.3e}")
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(float_decomposition_to_json(t.dims, found.factors)))
+                _write_text(args.out, json.dumps(
+                    float_decomposition_to_json(t.dims, found.factors)))
                 lines.append(f"wrote float decomposition {args.out}")
         else:
             lines.append(
@@ -239,8 +245,7 @@ def _cmd_convert(args) -> int:
         overlap = abs(np.vdot(outcome, target))
         fidelity = overlap / (np.linalg.norm(outcome) * np.linalg.norm(target))
         out_path = args.out or "protocol.json"
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(protocol_to_json(protocol))
+        _write_text(out_path, protocol_to_json(protocol))
         print(json.dumps({
             "fidelity": float(fidelity),
             "probability": probability,

@@ -32,6 +32,7 @@ from .scalars import (
     Leg,
     Scalar,
     _int_dtype,
+    _int_leg,
     _lowest,
     _mapped,
     _max_abs,
@@ -484,8 +485,7 @@ def fiduccia8_w2_decomposition() -> ProductDecomposition:
 def ghz_decomposition(n: int) -> ProductDecomposition:
     if n < 1:
         raise InputError("GHZ level count must be positive")
-    unit = np.eye(n, dtype=np.int64)
-    leg = Leg(unit, np.zeros_like(unit), 1)
+    leg = _int_leg(np.eye(n, dtype=np.int64))
     return ProductDecomposition((n, n, n), ArrayTerms((leg, leg, leg)))
 
 
@@ -704,7 +704,12 @@ def rank_leq2_test_2x2x2(t: Tensor3) -> Rank222:
     """
     if t.dims != (2, 2, 2):
         raise InputError(f"rank test needs dims (2, 2, 2), got {t.dims}")
-    if min(flattening_ranks(t).values()) < 2:
+    return _rank222(t, flattening_ranks(t))
+
+
+def _rank222(t: Tensor3, ranks: dict) -> Rank222:
+    """rank_leq2_test_2x2x2(t) from t's flattening ranks."""
+    if min(ranks.values()) < 2:
         return Rank222.DEGENERATE
     return Rank222.RANK_LEQ2 if hyperdeterminant_2x2x2(t) else Rank222.RANK_GEQ3
 
@@ -823,8 +828,9 @@ def rank_bounds(t: Tensor3) -> RankBounds:
     RankFacts registry, the 2x2x2 rank test, the packaged witnesses and
     simultaneous diagonalization; the one place these sources are
     combined."""
-    return RankBounds(t, flattening_ranks(t), DEFAULT_RANK_FACTS.lookup(t),
-                      rank_leq2_test_2x2x2(t) if t.dims == (2, 2, 2) else None)
+    ranks = flattening_ranks(t)
+    return RankBounds(t, ranks, DEFAULT_RANK_FACTS.lookup(t),
+                      _rank222(t, ranks) if t.dims == (2, 2, 2) else None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ eigenvectors give the a- and b-vectors of an r-term witness (Jennrich's
 algorithm).  Floats only propose the eigenvalues: each is confirmed, and
 the kernels and the witness are computed, exactly on Gaussian integers held
 as (re, im) pairs of Python ints by the elimination kernel of `scalars`,
-and the dense verifier judges the result.
+and the dense verifier judges the result.  A target whose slicing leg has
+flattening rank 1 needs no pencil: its witness is read off its slices.
 """
 
 from __future__ import annotations
@@ -37,14 +38,17 @@ def diagonal_witness(t: Tensor3, ranks: dict | None = None) -> ProductDecomposit
 
     Two legs, taken as A and B, must have dimension and flattening rank r,
     the largest flattening rank (`ranks`, computed when not given); the
-    third indexes the slices S_l.  For each fixed weight pair the pencil
-    X1 - lam X0 is solved: floats only propose its eigenvalues, and as L lam
-    lies in Z[i] for L = det X0, each is rounded there, or else read by
-    rational reconstruction.  A proposal fails when its eigenvalues are not
-    r distinct values or some X1 - lam X0 has a right or left kernel (z, y)
-    of dimension other than one, all decided exactly; a pair is skipped
-    when det X0 = 0, the floats overflow, or both proposals fail.  Then
-    a = X0 z, b = X0^T y and c_l = y^T S_l z / (y^T X0 z)^2 per eigenvalue.
+    third indexes the slices S_l.  When the third leg's flattening rank is
+    1, the slices are u_l M with M of rank r, and the witness is read off
+    them (`_rank_one_terms`).  Otherwise, for each fixed weight pair the
+    pencil X1 - lam X0 is solved: floats only propose its eigenvalues, and
+    as L lam lies in Z[i] for L = det X0, each is rounded there, or else
+    read by rational reconstruction.  A proposal fails when its eigenvalues
+    are not r distinct values or some X1 - lam X0 has a right or left
+    kernel (z, y) of dimension other than one, all decided exactly; a pair
+    is skipped when det X0 = 0, the floats overflow, or both proposals
+    fail.  Then a = X0 z, b = X0^T y and c_l = y^T S_l z / (y^T X0 z)^2 per
+    eigenvalue.
     The witness passes require_witness before it is returned; None never
     means that no r-term witness exists.
     """
@@ -59,6 +63,8 @@ def diagonal_witness(t: Tensor3, ranks: dict | None = None) -> ProductDecomposit
     index = np.unravel_index(t.support, t.dims)
     for a, b, l, x, y in zip(*(index[k].tolist() for k in order), re.tolist(), im.tolist()):
         slices[l][a][b] = (x, y)
+    if list(ranks.values())[order[2]] == 1:
+        return _checked(t, order, _rank_one_terms(slices, den))
     for nodes in _PENCIL_NODES:
         x0, x1 = (_combination(slices, node) for node in nodes)
         rows, pivots = _echelon(x0)
@@ -67,16 +73,33 @@ def diagonal_witness(t: Tensor3, ranks: dict | None = None) -> ProductDecomposit
         lead = rows[-1][-1]  # +-det X0
         for roots in _proposed_roots(x0, x1, lead):
             terms = _diagonal_terms(slices, x0, x1, lead, roots, den)
-            if terms is None:
-                continue
-            legs = [None] * 3
-            for k, vectors in zip(order, zip(*terms)):
-                legs[k] = _over_common_den(*zip(*vectors))
-            try:
-                return require_witness(t, ProductDecomposition(t.dims, ArrayTerms(legs)))
-            except WitnessMismatch:  # the other slices are not diagonal: rank above r
-                return None
+            if terms is not None:
+                return _checked(t, order, terms)
     return None
+
+
+def _checked(t: Tensor3, order, terms) -> ProductDecomposition | None:
+    """The witness of the terms, whose vectors are in the leg order `order`,
+    once it passes require_witness against t; None when it does not."""
+    legs = [None] * 3
+    for k, vectors in zip(order, zip(*terms)):
+        legs[k] = _over_common_den(*zip(*vectors))
+    try:
+        return require_witness(t, ProductDecomposition(t.dims, ArrayTerms(legs)))
+    except WitnessMismatch:  # for a pencil: the other slices are not diagonal
+        return None
+
+
+def _rank_one_terms(slices, den: int) -> list:
+    """The r terms e_k (x) (row k of M) (x) u of slices S_l = u_l M, the
+    slicing leg's flattening rank being 1: M is the first nonzero slice and
+    u_l is read at one nonzero entry of M."""
+    m, a, b = next((s, a, b) for s in slices for a, row in enumerate(s)
+                   for b, x in enumerate(row) if any(x))
+    u, u_den = _quotient([s[a][b] for s in slices], m[a][b])
+    r = len(m)
+    return [(([(int(j == k), 0) for j in range(r)], 1), (m[k], 1), (u, u_den * den))
+            for k in range(r)]
 
 
 def _combination(slices, node: int) -> list:

@@ -135,7 +135,6 @@ class Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 MINUS_ONE = Scalar(-1)
-I_UNIT = Scalar(0, 1)
 
 
 def as_scalar(value) -> Scalar:
@@ -220,10 +219,14 @@ def _max_abs(leg: Leg) -> int:
     return max((int(abs(part).max()) for part in (leg.re, leg.im) if part.size), default=0)
 
 
-def _mapped(m, leg: Leg) -> Leg:
-    """`leg` with every vector along its last axis mapped by the exact
-    matrix m, in integers and in lowest terms."""
-    op = _to_leg([x for row in m for x in row], (len(m), len(m[0]) if m else 0))
+def _int_leg(m: np.ndarray) -> Leg:
+    """The int64 matrix m as a Leg over the denominator 1."""
+    return Leg(m, np.zeros_like(m), 1)
+
+
+def _mapped(op: Leg, leg: Leg) -> Leg:
+    """`leg` with every vector along its last axis mapped by the matrix op,
+    in integers and in lowest terms."""
     # zeros count as 1, so every numerator also lies below the bound
     dtype = _int_dtype(2 * op.re.shape[1] * (_max_abs(op) or 1) * (_max_abs(leg) or 1))
     xr, xi, mr, mi = (part.astype(dtype) for part in (leg.re, leg.im, op.re.T, op.im.T))

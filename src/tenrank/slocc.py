@@ -23,7 +23,9 @@ from .decomp import (
     ProductDecomposition,
     als_search,
     builtin_state,
+    decomposition_to_json,
     hyperdeterminant_2x2x2,
+    leg_arrays,
     rank_bounds,
     rationalize_result,
     reconstruct,
@@ -31,7 +33,7 @@ from .decomp import (
     term_values,
 )
 from .errors import InputError, ResourceError
-from .scalars import ZERO, from_gaussian
+from .scalars import Leg
 from .tensors import LocalOperatorTriple, Tensor3, flattening_rank, flattening_ranks
 
 #: dense protocol operators are only assembled up to this GHZ level
@@ -68,16 +70,14 @@ class SloccProtocol:
     @cached_property
     def exact_ops(self) -> LocalOperatorTriple:
         """Leg A sends GHZ basis vector i to the witness's i-th a-vector for
-        i < r and to zero for r <= i < n (likewise B and C), with one Scalar
-        per distinct witness value."""
-        return LocalOperatorTriple(*(
-            _operator_from_vectors(vectors, dim, self.source_dim)
-            for vectors, dim in zip(term_values(self.witness, from_gaussian), self.witness.dims)))
+        i < r and to zero for r <= i < n (likewise B and C): the witness's
+        Legs transposed and zero-padded to n columns."""
+        def padded(part):  # zeros of part's dtype: Python ints for dtype object
+            zeros = np.zeros((part.shape[1], self.source_dim - len(part)), dtype=part.dtype)
+            return np.hstack([part.T, zeros])
 
-
-def _operator_from_vectors(vectors, dim_out: int, n: int) -> tuple:
-    cols = list(vectors) + [(ZERO,) * dim_out] * (n - len(vectors))
-    return tuple(zip(*cols))
+        return LocalOperatorTriple(*(Leg(padded(leg.re), padded(leg.im), leg.den)
+                                     for leg in leg_arrays(self.witness)))
 
 
 def build_protocol(d: ProductDecomposition, n: int,
@@ -369,8 +369,6 @@ def protocol_to_json(p: SloccProtocol) -> str:
 
 
 def verdict_to_json(v: ConvertVerdict) -> dict:
-    from .decomp import decomposition_to_json
-
     witness = None
     if v.witness is not None and len(v.witness.terms) <= 4096:
         witness = decomposition_to_json(v.witness)

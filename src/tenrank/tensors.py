@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .errors import InputError, ResourceError
 from .scalars import (
     ZERO,
@@ -31,6 +30,7 @@ from .scalars import (
     Scalar,
     _echelon,
     _int_dtype,
+    _int_leg,
     _lowest,
     _mapped,
     _max_abs,
@@ -353,23 +353,46 @@ def support_basis(t: Tensor3) -> list:
     return basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperatorTriple:
-    """One exact matrix per leg; may be non-square (dim-changing)."""
+    """One exact matrix per leg, each a Leg of shape (rows, cols); may be
+    non-square (dim-changing).  Rows of exact values are converted once; a
+    Leg is kept as it is, in lowest terms.  Equality and hashing compare
+    values, as Tensor3's do."""
 
-    A: tuple
-    B: tuple
-    C: tuple
+    A: Leg
+    B: Leg
+    C: Leg
+
+    def __post_init__(self):
+        for name in "ABC":
+            m = getattr(self, name)
+            if not isinstance(m, Leg):
+                cols = len(m[0]) if m else 0
+                if any(len(row) != cols for row in m):
+                    raise InputError(f"operator {name} has ragged rows")
+                m = _to_leg([x for row in m for x in row], (len(m), cols))
+            m.re.flags.writeable = m.im.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     def input_dims(self) -> tuple[int, int, int]:
-        return tuple(linalg.shape(m)[1] for m in (self.A, self.B, self.C))
+        return tuple(m.re.shape[1] for m in (self.A, self.B, self.C))
 
     def output_dims(self) -> tuple[int, int, int]:
-        return tuple(linalg.shape(m)[0] for m in (self.A, self.B, self.C))
+        return tuple(m.re.shape[0] for m in (self.A, self.B, self.C))
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalOperatorTriple):
+            return NotImplemented
+        return all(x.den == y.den and np.array_equal(x.re, y.re) and np.array_equal(x.im, y.im)
+                   for x, y in zip((self.A, self.B, self.C), (other.A, other.B, other.C)))
+
+    def __hash__(self):
+        return hash(tuple((m.den, tuple(m.re.ravel().tolist())) for m in (self.A, self.B, self.C)))
 
 
 def identity_triple(dims) -> LocalOperatorTriple:
-    return LocalOperatorTriple(*map(linalg.identity, dims))
+    return LocalOperatorTriple(*(_int_leg(np.eye(n, dtype=np.int64)) for n in dims))
 
 
 def apply_local_operators(ops: LocalOperatorTriple, t: Tensor3) -> Tensor3:

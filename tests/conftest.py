@@ -10,6 +10,8 @@ from fractions import Fraction
 import sympy
 
 from tenrank import linalg, sampling
+from tenrank.bilinear import BilinearProgram
+from tenrank.decomp import make_decomposition
 from tenrank.errors import InputError
 from tenrank.scalars import Scalar, as_scalar
 from tenrank.tensors import Tensor3, make_tensor
@@ -106,6 +108,36 @@ def kron_vec(x, y):
     return tuple(xi * yi for xi in x for yi in y)
 
 
+# -- per-Scalar views of programs and operators ---------------------------------
+#
+# The package holds every exact coefficient matrix as a Leg; the references
+# below read them as the rows of Scalars they stand for.
+
+
+def scalar_rows(leg):
+    """A Leg (an operator, or one leg of a decomposition) as rows of Scalars."""
+    return tuple(tuple(Scalar(Fraction(x, leg.den), Fraction(y, leg.den))
+                       for x, y in zip(row_re, row_im))
+                 for row_re, row_im in zip(leg.re.tolist(), leg.im.tolist()))
+
+
+def program_rows(p):
+    """A bilinear program's coefficient rows (u, v, w): u (r x dA) and v
+    (r x dB) hold its terms' a- and b-vectors, w (dC x r) their c-vectors
+    as columns."""
+    terms = tuple(p.decomposition.terms)
+    return (tuple(term.a for term in terms), tuple(term.b for term in terms),
+            tuple(zip(*(term.c for term in terms))))
+
+
+def program_from_rows(u, v, w):
+    """The bilinear program with coefficient rows u, v and w, as program_rows
+    gives them."""
+    dims = (len(u[0]), len(v[0]), len(w))
+    return BilinearProgram(make_decomposition(
+        dims, [(u[k], v[k], tuple(row[k] for row in w)) for k in range(len(u))]))
+
+
 # -- per-Scalar tensor references -------------------------------------------------
 #
 # The Scalar loops the Gaussian-integer array code replaced, kept as the
@@ -131,7 +163,7 @@ def reference_apply_local_operators(ops, t):
     def columns(m):
         return [[(i, row[j]) for i, row in enumerate(m) if row[j]] for j in range(len(m[0]))]
 
-    cols_a, cols_b, cols_c = columns(ops.A), columns(ops.B), columns(ops.C)
+    cols_a, cols_b, cols_c = (columns(scalar_rows(m)) for m in (ops.A, ops.B, ops.C))
     out_dims = ops.output_dims()
     _, db, dc = out_dims
     acc = [Scalar(0)] * (out_dims[0] * db * dc)

@@ -1,14 +1,22 @@
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import nonzero_vector, oracle_matmul, oracle_rank, vector, zeros
+from conftest import (
+    nonzero_vector,
+    oracle_matmul,
+    oracle_rank,
+    program_from_rows,
+    program_rows,
+    scalar_rows,
+    vector,
+    zeros,
+)
 
 from tenrank import bilinear, linalg, sampling
 from tenrank.bilinear import (
@@ -39,8 +47,16 @@ from tenrank.decomp import (
     verify_decomposition,
 )
 from tenrank.errors import InputError, StateError, WitnessMismatch
-from tenrank.scalars import MINUS_ONE, ONE, ZERO, Scalar
-from tenrank.tensors import apply_local_operators, contract, flattening, tensor_to_json
+from tenrank.scalars import MINUS_ONE, ONE, ZERO, Leg, Scalar
+from tenrank.slocc import build_protocol
+from tenrank.tensors import (
+    LocalOperatorTriple,
+    apply_local_operators,
+    contract,
+    flattening,
+    identity_triple,
+    tensor_to_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,13 +90,14 @@ def ref_eval_form(coeffs, values, count):
 
 def ref_evaluate_bilinear(p, avec, bvec, count=None):
     count = count if count is not None else MulCount()
+    u, v, w = program_rows(p)
     products = []
     for k in range(p.r):
-        fa = ref_eval_form(p.u[k], avec, count)
-        fb = ref_eval_form(p.v[k], bvec, count)
+        fa = ref_eval_form(u[k], avec, count)
+        fb = ref_eval_form(v[k], bvec, count)
         products.append(fa * fb)
         count.nonscalar_mults += 1
-    return tuple(ref_eval_form(row, products, count) for row in p.w)
+    return tuple(ref_eval_form(row, products, count) for row in w)
 
 
 def ref_run_bilinear_matmul(p, x, y):
@@ -190,7 +207,7 @@ def test_phi3_witness_exact_equality():
 
 def test_phi3_witness_components_invertible():
     witness = phi3_matmul_witness()
-    for m in (witness.A, witness.B, witness.C):
+    for m in map(scalar_rows, (witness.A, witness.B, witness.C)):
         assert len(m) == len(m[0]) and linalg.det(m)
 
 
@@ -200,6 +217,30 @@ def test_phi3_witness_transports_strassen_to_phi3():
 
 
 # -- program conversion --------------------------------------------------------
+
+
+def test_exact_coefficient_matrices_are_legs():
+    # operator triples hold Legs, and a program is its decomposition
+    protocol = build_protocol(builtin_decomposition("FIDUCCIA8_W2"), 9)
+    for ops in (identity_triple((2, 3, 1)), phi3_matmul_witness(),
+                matmul_power_relabeling(2, 2, 2, 2), protocol.exact_ops):
+        assert all(isinstance(m, Leg) for m in (ops.A, ops.B, ops.C))
+    assert protocol.exact_ops.input_dims() == (9, 9, 9)
+    assert protocol.exact_ops.output_dims() == (4, 4, 4)
+    d = builtin_decomposition("STRASSEN7")
+    p = to_bilinear(d)
+    assert p == BilinearProgram(d) and from_bilinear(p) is d
+    # equal matrices given as Scalar rows and as ints compare and hash equal
+    rows = ((1, -2), (0, 3))
+    as_ints = LocalOperatorTriple(rows, rows, ((5,),))
+    as_scalars = LocalOperatorTriple(*(tuple(tuple(map(Scalar, row)) for row in m)
+                                       for m in (rows, rows, ((5,),))))
+    assert as_ints == as_scalars and hash(as_ints) == hash(as_scalars)
+    assert as_ints != LocalOperatorTriple(rows, rows, ((Scalar(5, 1),),))
+    assert identity_triple((2, 2, 1)) == LocalOperatorTriple(((1, 0), (0, 1)),
+                                                             ((1, 0), (0, 1)), ((1,),))
+    with pytest.raises(InputError):
+        LocalOperatorTriple(((1, 0), (1,)), rows, rows)
 
 
 def test_to_bilinear_strassen_shape():
@@ -287,7 +328,8 @@ def test_matmul_power_relabeling_maps_square_onto_4x4_tensor():
     from tenrank.tensors import tensor_product
 
     relabel = matmul_power_relabeling(2, 2, 2, 2)
-    assert all(len(m) == len(m[0]) and linalg.det(m) for m in (relabel.A, relabel.B, relabel.C))
+    assert all(len(m) == len(m[0]) and linalg.det(m)
+               for m in map(scalar_rows, (relabel.A, relabel.B, relabel.C)))
     mm = matmul_tensor(2, 2, 2)
     squared = tensor_product(mm, mm)
     assert apply_local_operators(relabel, squared) == matmul_tensor(4, 4, 4)
@@ -327,13 +369,13 @@ def test_gaussian_rational_program_keeps_scale_bookkeeping():
     # Strassen with u scaled by s and w by 1/s still computes <2,2,2>; for
     # s = 2i (w by -i/2) and s = 1+i (w by (1-i)/2) the coefficients are
     # Gaussian rationals over a common denominator of 2
-    strassen = to_bilinear(builtin_decomposition("STRASSEN7"))
+    u, v, w = program_rows(to_bilinear(builtin_decomposition("STRASSEN7")))
     rng = random.Random(157)
     for s in (Scalar(0, 2), Scalar(1, 1)):
-        scaled = BilinearProgram(
-            tuple(tuple(s * c for c in row) for row in strassen.u),
-            strassen.v,
-            tuple(tuple(c / s for c in row) for row in strassen.w),
+        scaled = program_from_rows(
+            tuple(tuple(s * c for c in row) for row in u),
+            v,
+            tuple(tuple(c / s for c in row) for row in w),
         )
         program = verify_for_matmul(scaled, 2, 2, 2)
         for _ in range(5):
@@ -373,7 +415,8 @@ def test_verify_for_matmul_rejects_wrong_program():
 
 def test_verify_for_matmul_rejects_a_corrupted_strassen_program():
     p = to_bilinear(builtin_decomposition("STRASSEN7"))
-    corrupted = replace(p, w=((p.w[0][0] + 1,) + p.w[0][1:],) + p.w[1:])
+    u, v, w = program_rows(p)
+    corrupted = program_from_rows(u, v, ((w[0][0] + 1,) + w[0][1:],) + w[1:])
     with pytest.raises(WitnessMismatch) as raised:
         verify_for_matmul(corrupted, 2, 2, 2)
     assert raised.value.first_mismatch is not None

@@ -26,6 +26,7 @@ from tenrank.decomp import (
     decomposition_to_json,
     float_decomposition_to_json,
     ghz_decomposition,
+    verify_decomposition,
 )
 from tenrank.scalars import MINUS_ONE, ONE, ZERO
 from tenrank.slocc import build_protocol, protocol_to_json
@@ -73,6 +74,7 @@ def test_state_out_round_trips(capsys, tmp_path):
     assert code == 0
     loaded = tensor_from_json(json.loads(out_file.read_text()))
     assert loaded == builtin_state("PHI3")
+    assert out_file.read_text() == json.dumps(tensor_to_json(loaded), indent=2)
 
 
 def test_state_parse_failure_exits_2(capsys, tmp_path):
@@ -628,3 +630,61 @@ def test_packaged_witnesses_verify_against_their_targets():
         )
         witness = decomposition_from_json(payload)
         assert verify_decomposition(target, witness).ok
+
+
+def test_packaged_witness_files_equal_the_builtins():
+    # the schemes exist both as code and as files: the two copies must agree
+    from tenrank.bilinear import phi3_matmul_witness
+    from tenrank.decomp import fiduccia8_w2_decomposition, strassen7_decomposition, transport
+
+    builtins = {
+        "strassen7.json": strassen7_decomposition(),
+        "fiduccia8.json": fiduccia8_w2_decomposition(),
+        "strassen7-phi3.json": transport(phi3_matmul_witness(), strassen7_decomposition()),
+    }
+    for name, built in builtins.items():
+        payload = json.loads(resources.files("tenrank").joinpath("witnesses", name).read_text())
+        assert decomposition_from_json(payload) == built, name
+
+
+# -- output files -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, verdict_lines", [
+    (("state", "PHI3"), 0),
+    (("rank", "GHZ", "--als", "2"), 0),
+    (("convert", "PHI3", "--ghz", "7", "--simulate"), 1),
+])
+def test_out_to_an_unwritable_path_exits_2(capsys, tmp_path, argv, verdict_lines):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert len(out.splitlines()) == verdict_lines
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
+# -- a slicing leg of flattening rank 1 ---------------------------------------------
+
+
+def test_biseparable_targets_get_an_exact_rank_2_witness(capsys, tmp_path, monkeypatch):
+    # (e0 + 2 e1)_A (x) (e00 + i e11)_BC: flattening ranks 1, 2, 2, so the
+    # slices along A are multiples of one rank-2 matrix; no search runs
+    monkeypatch.setattr(slocc, "als_search", lambda *args: pytest.fail("searched"))
+    path = tmp_path / "bisep.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": "1"}, {"i": [0, 1, 1], "im": "1"},
+        {"i": [1, 0, 0], "re": "2"}, {"i": [1, 1, 1], "im": "2"}]}))
+    code, out, _ = run(capsys, "rank", str(path))
+    assert code == 0
+    assert out.splitlines() == ["flattening ranks A=1 B=2 C=2", "upper=2 lower=2 rank=2"]
+    code, out, _ = run(capsys, "--json", "convert", str(path), "--ghz", "2")
+    verdict = json.loads(out)
+    assert code == 0 and (verdict["verdict"], verdict["upper_bound"]) == ("yes", 2)
+    witness = decomposition_from_json(verdict["witness"])
+    assert len(witness.terms) == 2
+    assert verify_decomposition(tensor_from_json(json.loads(path.read_text())), witness).ok
+    # the product state has no two legs of dimension and rank r: unchanged
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [{"i": [0, 0, 0], "re": "1"}]}))
+    code, out, _ = run(capsys, "rank", str(path))
+    assert code == 0 and out.splitlines()[-1] == "lower=1"

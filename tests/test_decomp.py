@@ -20,6 +20,7 @@ from conftest import (
     oracle_outer_sum,
     oracle_rank,
     reference_reconstruct,
+    scalar_rows,
     vector,
     zeros,
 )
@@ -538,7 +539,7 @@ def test_storage_switches_to_python_ints_near_the_int64_limit():
         ops = LocalOperatorTriple(matrix([[1, Scalar(0, 2)], [0, Fraction(1, 2)]]),
                                   matrix([[1, 1]]), matrix([[2]]))
         assert transport(ops, d).terms == tuple(
-            Term(*(mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
+            Term(*(mat_vec(scalar_rows(m), v) for m, v in zip((ops.A, ops.B, ops.C), term)))
             for term in plain.terms)
         assert decomposition_power(d, 2).terms == reference_power_terms(plain.terms, 2)
 
@@ -552,7 +553,7 @@ def test_array_paths_match_the_per_scalar_terms():
                                                     max_num=3, max_den=4) for n in dims))
         moved = transport(ops, d)
         assert isinstance(moved.terms, ArrayTerms) and moved.terms == tuple(
-            Term(*(mat_vec(m, v) for m, v in zip((ops.A, ops.B, ops.C), term)))
+            Term(*(mat_vec(scalar_rows(m), v) for m, v in zip((ops.A, ops.B, ops.C), term)))
             for term in d.terms)
         for n in (1, 2, 3):
             power = decomposition_power(d, n)
@@ -578,8 +579,6 @@ def test_consumers_build_one_value_per_distinct_value(monkeypatch):
         scalars.from_gaussian(re, im, den)) or scalars.gaussian_to_json(re, im, den))
     assert decomposition_from_json(json.loads(json.dumps(decomposition_to_json(d)))) == d
     assert len(encoded) == len(set(encoded)) == 3
-    program = to_bilinear(d)
-    assert len({id(x) for m in (program.u, program.v, program.w) for row in m for x in row}) == 3
 
 
 def test_zero_tensor_has_rank_zero_by_convention():
@@ -1080,7 +1079,7 @@ def test_rank_bounds_on_a_fixed_corpus():
         (builtin_state("W"), (2, 2, 2), 3, 3, "W"),
         (phi3, (4, 4, 4), 7, 7, "PHI3"),
         (builtin_state("W2"), (4, 4, 4), 4, None, None),
-        (builtin_state("EPR"), (2, 2, 1), 2, None, None),
+        (builtin_state("EPR"), (2, 2, 1), 2, 2, None),
         (apply_local_operators(ops, phi3), (4, 4, 4), 4, None, None),
     ]
     for t, ranks, lower, upper, name in corpus:
@@ -1171,6 +1170,38 @@ def test_diagonal_witness_retries_a_repeated_eigenvalue(monkeypatch):
                         lambda *args: calls.append(rounded_roots(*args)) or calls[-1])
     assert_exact_witness(t, diagonal_witness(t), 2)
     assert len(calls) >= 2 and len(set(calls[0])) == 1 and len(set(calls[-1])) == 2
+
+
+def test_diagonal_witness_reads_a_slicing_leg_of_flattening_rank_1():
+    # M (x) u with M of rank 2: the slices along u's leg are u_l M, the
+    # first of them zero for the second u
+    m = ((1, Scalar(0, 2)), (Fraction(1, 3), 5))
+    for u, leg in itertools.product(((2, Scalar(1, -1), 0), (0, 2, Scalar(1, -1))), range(3)):
+        entries = {}
+        for (a, b, l) in itertools.product(range(2), range(2), range(3)):
+            index = [a, b]
+            index.insert(leg, l)
+            entries[tuple(index)] = m[a][b] * u[l]
+        dims = tuple(3 if k == leg else 2 for k in range(3))
+        t = make_tensor(dims, entries)
+        assert list(flattening_ranks(t).values()) == [1 if k == leg else 2 for k in range(3)]
+        assert_exact_witness(t, diagonal_witness(t), 2)
+    epr = builtin_state("EPR")
+    assert_exact_witness(epr, diagonal_witness(epr), 2)
+    # the 2x2x2 product state has no two legs of dimension and rank r
+    assert diagonal_witness(make_tensor((2, 2, 2), {(0, 0, 0): 1})) is None
+
+
+def test_rank_bounds_ranks_the_flattenings_once(monkeypatch):
+    calls = []
+    flattening_ranks = decomp.flattening_ranks
+    monkeypatch.setattr(decomp, "flattening_ranks",
+                        lambda t: calls.append(t) or flattening_ranks(t))
+    w_image = next(w_class_images(91, 1))[1]
+    for t in (builtin_state("W"), builtin_state("PHI3"), w_image):
+        calls.clear()
+        rank_bounds(t)
+        assert calls == [t]
 
 
 def test_diagonal_witness_is_none_outside_its_scope(monkeypatch):

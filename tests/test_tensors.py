@@ -18,6 +18,7 @@ from conftest import (
     reference_apply_local_operators,
     reference_reconstruct,
     reference_tensor_product,
+    scalar_rows,
     tensor_sum,
 )
 
@@ -493,7 +494,7 @@ def test_array_code_matches_the_per_scalar_references(monkeypatch):
     original = tensors._mapped
     # the size of every operator's result
     monkeypatch.setattr(tensors, "_mapped", lambda m, leg: (
-        sizes.append(leg.re.size // leg.re.shape[-1] * len(m)) or original(m, leg)))
+        sizes.append(leg.re.size // leg.re.shape[-1] * len(m.re)) or original(m, leg)))
     for k in range(24):
         dims = tuple(rng.randint(1, 3) for _ in range(3))
         # every fourth tensor and operator has numerators past 2^62
@@ -504,7 +505,7 @@ def test_array_code_matches_the_per_scalar_references(monkeypatch):
                             max_den=3) for d in dims))
         if k % 4 == 1:
             ops = LocalOperatorTriple(ops.A, ops.B, tuple(tuple(x * 2 ** 64 for x in row)
-                                                          for row in ops.C))
+                                                          for row in scalar_rows(ops.C)))
         sizes.clear()
         got = apply_local_operators(ops, t)
         assert got == reference_apply_local_operators(ops, t)

@@ -198,10 +198,9 @@ def corpus(f: dict) -> list:
         ["verify", f["huge"], "--witness", f["huge-witness"]],
         # an all-zero witness leg beside a denominator past int64 (exit 2)
         ["verify", f["huge"], "--witness", f["zero-leg-witness"]],
-        # matmul: exact with its check, and sizes past the dense cap (the
-        # float bench at --n 40 exits 1 with a traceback before the size
-        # check; sizes that allocate before it, such as exact --n 11
-        # without --check, are left out)
+        # matmul: exact with its check, and sizes past the dense cap, each
+        # of which exits 2 with one error line (sizes that allocate before
+        # the size check, such as exact --n 11 without --check, are left out)
         ["matmul", "--n", "3", "--check"],
         ["matmul", "--n", "11", "--check"],
         ["matmul", "--n", "40", "--bench"],
@@ -215,6 +214,13 @@ def corpus(f: dict) -> list:
         ["convert", f["big-lone"], "--ghz", "1"],
         ["convert", f["big-pair"], "--ghz", "2", "--witness", f["big-witness"], *simulate],
         ["rank", f["big-lone"], "--als", "1"],
+        # a slicing leg of flattening rank 1: exact rank-2 witnesses
+        ["convert", f["bisep"], "--ghz", "2"],
+        ["convert", "EPR", "--ghz", "2"],
+        # --out into a missing directory (exit 2 with one error line)
+        ["state", "PHI3", "--out", "missing/x.json"],
+        ["rank", "GHZ", "--als", "2", "--out", "missing/x.json"],
+        ["convert", "PHI3", "--ghz", "7", "--simulate", "--out", "missing/p.json"],
     ]
 
 
