@@ -125,7 +125,15 @@ class ArrayTerms(Sequence):
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        if len(self) != len(other):
+            return False
+        if isinstance(other, ArrayTerms) and all(
+                x.den == y.den for x, y in zip(self.legs, other.legs)):
+            # over equal denominators, equal values have equal numerators
+            return not len(self) or all(
+                np.array_equal(x.re, y.re) and np.array_equal(x.im, y.im)
+                for x, y in zip(self.legs, other.legs))
+        return all(map(operator.eq, self, other))
 
     def __hash__(self):
         return hash(tuple(self))
@@ -908,24 +916,23 @@ def decomposition_from_json(obj: dict) -> ProductDecomposition:
     if obj.get("exact", True) is False:
         raise InputError("float decomposition cannot be loaded as an exact witness")
     dims = json_ints(obj.get("dims"), 3, "decomposition JSON dims")
-    lengths = []
-
-    def values():  # term by term, each term's a, b and c vectors
-        for item in obj["terms"]:
-            vectors = []
-            for leg in ("a", "b", "c"):
-                vectors.append(list(item[leg]))
-                yield from vectors[-1]
-            lengths.append(tuple(map(len, vectors)))
-
+    values, lengths = [], []  # term by term, each term's a, b and c vectors
     try:
-        re, im, den = gaussian_from_json(values())
+        for item in obj["terms"]:
+            ends = [len(values)]
+            for leg in ("a", "b", "c"):
+                values.extend(item[leg])
+                ends.append(len(values))
+            lengths.append((ends[1] - ends[0], ends[2] - ends[1], ends[3] - ends[2]))
     except (KeyError, TypeError) as exc:
+        # a malformed value before this vector raises first, as a vector by
+        # vector read does
+        gaussian_from_json(values)
         raise InputError(f"malformed decomposition JSON: {exc!r}") from exc
+    re, im, den = gaussian_from_json(values)
 
     def stored(dims):  # each leg's columns of the term-major values
-        dtype = _int_dtype(max(map(abs, re + im), default=0))
-        parts = [np.array(x, dtype=dtype).reshape(len(lengths), sum(dims)) for x in (re, im)]
+        parts = [x.reshape(len(lengths), sum(dims)) for x in (re, im)]
         bounds = np.cumsum((0, *dims)).tolist()
         return ArrayTerms(_lowest(*(x[:, lo:hi] for x in parts), den)
                           for lo, hi in zip(bounds, bounds[1:]))

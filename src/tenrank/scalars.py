@@ -219,6 +219,22 @@ def _max_abs(leg: Leg) -> int:
     return max((int(abs(part).max()) for part in (leg.re, leg.im) if part.size), default=0)
 
 
+def _floats(leg: Leg) -> np.ndarray:
+    """The values of a Leg as a complex128 array of its shape, each the
+    complex() of its Scalar.  While every numerator and den is below 2^53
+    they are floats exactly, and numpy's division is the correctly rounded
+    quotient; past that, each distinct value is divided as Python ints,
+    which raises OverflowError beyond the float range."""
+    out = np.empty(leg.re.shape, dtype=np.complex128)
+    if max(_max_abs(leg), leg.den) < 1 << 53:
+        out.real, out.imag = leg.re / leg.den, leg.im / leg.den
+        return out
+    keys = list(zip(leg.re.ravel().tolist(), leg.im.ravel().tolist()))
+    values = {key: complex(key[0] / leg.den, key[1] / leg.den) for key in dict.fromkeys(keys)}
+    out.reshape(-1)[:] = list(map(values.__getitem__, keys))
+    return out
+
+
 def _int_leg(m: np.ndarray) -> Leg:
     """The int64 matrix m as a Leg over the denominator 1."""
     return Leg(m, np.zeros_like(m), 1)
@@ -341,15 +357,33 @@ def scalar_from_json(obj) -> Scalar:
     return Scalar(Fraction(re, re_den), Fraction(im, im_den))
 
 
-def gaussian_from_json(values) -> tuple[list, list, int]:
-    """JSON scalars as Gaussian integers over their least common
-    denominator: (re, im, den) as gaussian_integers gives it for the
-    Scalars scalar_from_json decodes, with the same errors, and no Scalar
-    built.  `values` is read once, in order, so a malformed value raises
-    where a one-by-one decode would; each distinct string is parsed once."""
-    memo, decoded = {}, {}  # parts by string; whole values by JSON string
-    return _over_lcm([decoded.get(obj) or decoded.setdefault(obj, _json_parts(obj, memo))
-                      if type(obj) is str else _json_parts(obj, memo) for obj in values])
+def gaussian_from_json(values: list) -> Leg:
+    """A list of JSON scalars as one flat Leg over their least common
+    denominator: the numerators gaussian_integers gives for the Scalars
+    scalar_from_json decodes, with the same errors, and no Scalar built.
+    Each distinct value is parsed once, in order of first appearance, so
+    the first malformed value raises what a one-by-one decode would."""
+    # values of equal keys decode alike, any one standing for all; others get keys of their own
+    keys = [obj if type(obj) is str else _json_key(obj) for obj in values]
+    memo, first = {}, dict(zip(keys, values))  # each key at its first position
+    code = {key: k for k, key in enumerate(first)}
+    re, im, den = _over_lcm([_json_parts(obj, memo) for obj in first.values()])
+    dtype = _int_dtype(max(map(abs, re + im), default=0))
+    index = np.fromiter(map(code.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return Leg(*(np.array(part, dtype=dtype)[index] for part in (re, im)), den)
+
+
+def _json_key(obj):
+    """A hashable key of a JSON scalar other than a string: the int itself,
+    or the (re, im) parts of an object whose parts are ints and strings; a
+    new object, equal to nothing else, for any other value."""
+    if type(obj) is int:
+        return obj
+    if type(obj) is dict:
+        key = obj.get("re", 0), obj.get("im", 0)
+        if all(type(part) in (int, str) for part in key):
+            return key
+    return object()
 
 
 def _json_parts(obj, memo: dict) -> tuple:

@@ -22,7 +22,6 @@ from .als import AlsConfig
 from .decomp import (
     ProductDecomposition,
     als_search,
-    builtin_state,
     decomposition_to_json,
     hyperdeterminant_2x2x2,
     leg_arrays,
@@ -30,11 +29,10 @@ from .decomp import (
     rationalize_result,
     reconstruct,
     require_witness,
-    term_values,
 )
 from .errors import InputError, ResourceError
-from .scalars import Leg
-from .tensors import LocalOperatorTriple, Tensor3, flattening_rank, flattening_ranks
+from .scalars import Leg, _floats
+from .tensors import LocalOperatorTriple, Tensor3, dense_dims, flattening_rank, flattening_ranks
 
 #: dense protocol operators are only assembled up to this GHZ level
 PROTOCOL_DIM_CAP = 1 << 14
@@ -85,10 +83,11 @@ def build_protocol(d: ProductDecomposition, n: int,
     """Assemble the GHZ(n) -> target protocol from an r-term witness.
 
     The exact operators (`SloccProtocol.exact_ops`) map GHZ(n) to the
-    target exactly; the float operators are the same matrices, with one
-    complex per distinct witness value, scaled by their largest singular
-    values for the measurement form.  The reported success probability
-    refers to the all-parties-succeed branch on the GHZ(n) source.
+    target exactly; the float operators are the same matrices, divided
+    from the witness's Legs into complex floats, scaled by their largest
+    singular values for the measurement form.  The reported success
+    probability refers to the all-parties-succeed branch on the GHZ(n)
+    source.
     """
     r = len(d.terms)
     if n < r:
@@ -106,13 +105,10 @@ def build_protocol(d: ProductDecomposition, n: int,
     float_ops = []
     scales = []
     try:
-        # re / den in Python ints is the correctly rounded float(Fraction),
-        # so each value is the complex() of its Scalar
-        legs = term_values(d, lambda re, im, den: complex(re / den, im / den))
-        for vectors, dim in zip(legs, d.dims):
+        for leg, dim in zip(leg_arrays(d), d.dims):
             # the padding columns stay the zeros the array starts with
             arr = np.zeros((dim, n), dtype=np.complex128)
-            arr[:, :r] = np.array(vectors, dtype=np.complex128).reshape(r, dim).T
+            arr[:, :r] = _floats(leg).T
             sigma = float(np.linalg.svd(arr, compute_uv=False)[0])
             float_ops.append(arr / sigma)
             scales.append(sigma)
@@ -134,14 +130,6 @@ def build_protocol(d: ProductDecomposition, n: int,
     )
 
 
-def apply_float_ops(ops, source: np.ndarray) -> np.ndarray:
-    a, b, c = ops
-    out = np.tensordot(a, source, axes=(1, 0))
-    out = np.moveaxis(np.tensordot(b, out, axes=(1, 1)), 1, 0)
-    out = np.moveaxis(np.tensordot(c, out, axes=(1, 2)), 0, 2)
-    return out
-
-
 def simulate(p: SloccProtocol, source: Tensor3 | None = None) -> tuple:
     """Apply the scaled protocol operators to a source state.
 
@@ -151,15 +139,23 @@ def simulate(p: SloccProtocol, source: Tensor3 | None = None) -> tuple:
     the outcome direction matches the protocol's target within float
     accuracy.
     """
+    a, b, c = p.ops
     if source is None:
-        src = builtin_state("GHZ", p.source_dim).to_numpy()
+        # GHZ(n)'s nonzeros are the ones at (j, j, j), so leg A sends it to
+        # out[:, j, j] = A[:, j], zeros elsewhere: the first tensordot's
+        # result without the dense n^3 source, whose norm is sqrt(n)
+        n = dense_dims(p.input_dims())[0]
+        out = np.zeros((len(a), n, n), dtype=np.complex128)
+        out[:, np.arange(n), np.arange(n)] = a
+        norm_src = math.sqrt(n)
     elif source.dims != p.input_dims():
         raise InputError(f"source dims {source.dims} do not match protocol input "
                          f"{p.input_dims()}")
     else:
         src = source.to_numpy()
-    outcome = apply_float_ops(p.ops, src)
-    norm_src = float(np.linalg.norm(src))
+        out, norm_src = np.tensordot(a, src, axes=(1, 0)), float(np.linalg.norm(src))
+    out = np.moveaxis(np.tensordot(b, out, axes=(1, 1)), 1, 0)
+    outcome = np.moveaxis(np.tensordot(c, out, axes=(1, 2)), 0, 2)
     if norm_src == 0.0:
         raise InputError("source tensor is zero")
     probability = float(np.linalg.norm(outcome) ** 2 / norm_src ** 2)

@@ -29,6 +29,7 @@ from .scalars import (
     Leg,
     Scalar,
     _echelon,
+    _floats,
     _int_dtype,
     _int_leg,
     _lowest,
@@ -151,17 +152,10 @@ class Tensor3:
 
     def to_numpy(self) -> np.ndarray:
         """The entries as a complex128 array of shape dims, each the
-        complex() of its Scalar: the numerators and den are divided as
-        floats while all are below 2^53, where that division is exact up
-        to one correct rounding, and as Python ints otherwise."""
-        re, im, den = self.values
+        complex() of its Scalar (`scalars._floats`)."""
         arr = np.zeros(self.dims, dtype=np.complex128)
-        flat = arr.reshape(-1)
-        if max(_max_abs(self.values), den) < 1 << 53:
-            flat.real[self.support], flat.imag[self.support] = re / den, im / den
-            return arr
         try:
-            flat[self.support] = [complex(x / den, y / den) for x, y in zip(re.tolist(), im.tolist())]
+            arr.reshape(-1)[self.support] = _floats(self.values)
         except OverflowError as exc:
             raise ResourceError(f"tensor entry exceeds the float range: {exc}") from exc
         return arr
@@ -462,19 +456,20 @@ def tensor_from_json(obj: dict) -> Tensor3:
     if not isinstance(obj, dict):
         raise InputError(f"tensor JSON must be an object, got {type(obj).__name__}")
     dims = json_ints(obj.get("dims"), 3, "tensor JSON dims")
-    indices = []
-
-    def items():
+    entries, indices = [], []
+    try:
         for item in obj.get("entries", []):
             indices.append(json_ints(item["i"], 3, "tensor JSON index"))
-            yield item
-
-    try:
-        # an entry object is read as the scalar {"re", "im"} it holds
-        re, im, den = gaussian_from_json(items())
-    except (KeyError, TypeError) as exc:
+            entries.append(item)
+    except (InputError, KeyError, TypeError) as exc:
+        # a malformed value before this entry raises first, as an entry by
+        # entry read does
+        gaussian_from_json(entries)
+        if isinstance(exc, InputError):
+            raise
         raise InputError(f"malformed tensor JSON entry: {exc!r}") from exc
+    # an entry object is read as the scalar {"re", "im"} it holds
+    values = gaussian_from_json(entries)
     # the entries' offsets, in entry order, once every index is checked
-    offsets = list(_by_offset(dense_dims(dims), zip(indices, re), int))
-    return Tensor3._from_numerators(dims, offsets, np.array(re, dtype=object),
-                                    np.array(im, dtype=object), den)
+    offsets = list(_by_offset(dense_dims(dims), zip(indices, itertools.repeat(None)), bool))
+    return Tensor3._from_numerators(dims, offsets, *values)

@@ -13,7 +13,7 @@ from tenrank import linalg, sampling
 from tenrank.bilinear import BilinearProgram
 from tenrank.decomp import make_decomposition
 from tenrank.errors import InputError
-from tenrank.scalars import Scalar, as_scalar
+from tenrank.scalars import Scalar, _json_parts, _over_lcm, as_scalar
 from tenrank.tensors import Tensor3, make_tensor
 
 
@@ -61,6 +61,18 @@ def oracle_outer_sum(dims, terms):
                         key = (i, j, k)
                         acc[key] = acc.get(key, Scalar(0)) + a[i] * b[j] * c[k]
     return {k: v for k, v in acc.items() if v}
+
+
+# -- the value-by-value JSON decoder ---------------------------------------------
+
+
+def reference_gaussian_from_json(values):
+    """JSON scalars as Gaussian integers (re, im, den) over their least
+    common denominator, decoded value by value in order, each distinct
+    string once: the decoder that `scalars.gaussian_from_json` replaced."""
+    memo, decoded = {}, {}  # parts by string; whole values by JSON string
+    return _over_lcm([decoded.get(obj) or decoded.setdefault(obj, _json_parts(obj, memo))
+                      if type(obj) is str else _json_parts(obj, memo) for obj in values])
 
 
 # -- per-Scalar vector and matrix references ---------------------------------

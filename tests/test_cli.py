@@ -413,6 +413,27 @@ def test_values_beyond_the_float_range_exit_2(capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_simulate_with_a_witness_past_the_float_range_in_any_leg_exits_2(capsys, tmp_path):
+    # the protocol's float operators are divided from the witness's legs;
+    # a value no float holds, in leg a, b or c, is one error line and exit 2
+    big = "1" + "0" * 400
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"dims": [2, 2, 2], "entries": [
+        {"i": [0, 0, 0], "re": big}, {"i": [1, 1, 1], "re": "1"}]}))
+    for leg in "abc":
+        terms = [{"a": ["1", "0"], "b": ["1", "0"], "c": ["1", "0"]},
+                 {"a": ["0", "1"], "b": ["0", "1"], "c": ["0", "1"]}]
+        terms[0][leg] = [big, "0"]
+        witness = tmp_path / f"witness-{leg}.json"
+        witness.write_text(json.dumps({"dims": [2, 2, 2], "terms": terms}))
+        out_file = tmp_path / f"protocol-{leg}.json"
+        code, out, err = run(capsys, "convert", str(target), "--ghz", "2", "--witness",
+                             str(witness), "--simulate", "--out", str(out_file))
+        assert code == 2 and json.loads(out)["verdict"] == "yes", leg
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "float range" in err
+        assert not out_file.exists()
+
+
 def test_convert_witness_with_a_repeated_malformed_string_exits_2(capsys, tmp_path):
     payload = decomposition_to_json(builtin_decomposition("FIDUCCIA8_W2"))
     for item in payload["terms"]:

@@ -572,6 +572,47 @@ def test_array_paths_match_the_per_scalar_terms():
     assert decomposition_power(half, 2).terms.legs[0].den == 2  # ((1 + i)/2)^2 = i/2
 
 
+def test_array_terms_compare_their_legs(monkeypatch):
+    # equal ArrayTerms compare by their Legs, no Term built; int64 and
+    # Python-int legs of equal values are equal, and Legs over other
+    # denominators fall back to the Terms
+    strassen = builtin_decomposition("STRASSEN7")
+
+    def variants(copies):
+        terms = decomposition_power(strassen, copies).terms
+        wide = ArrayTerms(scalars.Leg(leg.re.astype(object), leg.im.astype(object), leg.den)
+                          for leg in terms.legs)
+        changed = ArrayTerms(scalars.Leg(leg.re.copy(), leg.im.copy(), leg.den)
+                             for leg in terms.legs)
+        changed.legs[2].re.flags.writeable = True
+        changed.legs[2].re[-1, -1] += 1
+        return terms, wide, changed
+
+    cube, cube_wide, cube_changed = variants(3)
+    assert isinstance(cube, ArrayTerms) and len(cube) == 343
+    with monkeypatch.context() as patched:
+        def no_terms(self, k):
+            raise AssertionError("a Term was built")
+        patched.setattr(ArrayTerms, "__getitem__", no_terms)
+        assert cube == variants(3)[0] and cube == cube_wide and cube_wide == cube
+        assert cube != cube_changed and cube_changed != cube_wide
+    square, wide, changed = variants(2)
+    plain = tuple(square)
+    assert tuple(wide) == plain != tuple(changed)
+    assert hash(square) == hash(wide) == hash(plain)
+    # the same values over another denominator, not in lowest terms
+    doubled = ArrayTerms(scalars.Leg(2 * leg.re, 2 * leg.im, 2 * leg.den) for leg in square.legs)
+    assert doubled == square and square == doubled and hash(doubled) == hash(square)
+    # a plain tuple of Terms compares as before, either way round
+    assert square == plain and plain == square
+    assert square != plain[:-1] and square != tuple(changed) and tuple(changed) != square
+    # no terms: equal whatever the dims, as the empty tuples are
+    empty = [ArrayTerms(scalars.Leg(np.zeros((0, n), dtype=np.int64),
+                                    np.zeros((0, n), dtype=np.int64), 1) for n in dims)
+             for dims in ((2, 2, 2), (3, 1, 2))]
+    assert empty[0] == empty[1] == () and empty[0] != square
+
+
 def test_consumers_build_one_value_per_distinct_value(monkeypatch):
     d = decomposition_power(phi3_witness(), 2)  # 49 terms over 0, 1 and -1
     encoded = []

@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import abs2, conj
+from conftest import abs2, conj, reference_gaussian_from_json
 
 from tenrank.errors import InputError
 from tenrank.scalars import (
@@ -138,6 +139,11 @@ def test_scalar_json_rejects_booleans():
             scalar_from_json(obj)
 
 
+def leg_lists(leg):
+    """A flat Leg as the (re, im, den) lists gaussian_integers gives."""
+    return leg.re.tolist(), leg.im.tolist(), leg.den
+
+
 def test_json_decode_reads_every_spelling_as_fraction_does():
     # ASCII "-?p(/q)?" strings and ints skip Fraction; every other spelling
     # goes through it, so values and errors are those of scalar_from_json
@@ -147,9 +153,9 @@ def test_json_decode_reads_every_spelling_as_fraction_does():
     decoded = [scalar_from_json(v) for v in spellings]
     assert decoded[:7] == [Scalar(Fraction(3, 2)), Scalar(0), Scalar(Fraction(3, 4)),
                            Scalar(Fraction(3, 2)), Scalar(1000), Scalar(1000), Scalar(3)]
-    assert gaussian_from_json(spellings) == gaussian_integers(decoded)
-    assert gaussian_from_json(iter(spellings[::-1])) == gaussian_integers(decoded[::-1])
-    assert gaussian_from_json([]) == ([], [], 1)
+    assert leg_lists(gaussian_from_json(spellings)) == gaussian_integers(decoded)
+    assert leg_lists(gaussian_from_json(spellings[::-1])) == gaussian_integers(decoded[::-1])
+    assert leg_lists(gaussian_from_json([])) == ([], [], 1)
     for bad in ("1/0", "3/-4", "x", "1/", "/2", "--1", "", "9" * 5000, True, 1.5, None, [1],
                 {"re": 1.5}, {"re": "1", "im": True}, {"re": "x", "im": 0.5},
                 {"re": None}, {"re": "1/0", "im": "x"}):
@@ -158,3 +164,43 @@ def test_json_decode_reads_every_spelling_as_fraction_does():
         with pytest.raises(InputError) as fast:
             gaussian_from_json(["1/2", bad, "x"])
         assert str(fast.value) == str(slow.value)
+
+
+#: well-formed JSON scalars of every spelling, numerators past int64 among them
+JSON_VALUES = ["0", "1", "-1", "1/2", "-3/4", "6/4", " 3/4", "1.5", 0, 1, -7, 2 ** 70,
+               {"re": "1/2", "im": "-1/3"}, {"re": 1, "im": 2}, {"im": "-4/6"}, {"re": "0"},
+               {"re": "1/2", "im": 0}, {"i": [0, 0, 1], "re": "1", "im": "1/5"},
+               str(2 ** 64), {"re": f"1/{3 ** 50}"}]
+#: malformed JSON scalars, each with its own error
+BAD_VALUES = ["1/0", "x", "", "3/-4", True, 1.5, None, [1], {"re": 1.5}, {"re": "1", "im": True},
+              {"re": "x", "im": 0.5}, {"re": None}, {"re": "1/0", "im": "x"}, {"im": "y"}]
+
+
+def decoded_or_error(decode, values):
+    try:
+        return ("ok", *decode(values))
+    except InputError as exc:
+        return ("error", str(exc))
+
+
+def test_json_decode_per_distinct_value_matches_the_value_by_value_decoder():
+    # mixes of ints, "p/q" strings and {"re","im"} objects with repeats, then
+    # one malformed value at the start, in the middle or at the end (and a
+    # second one after it): the Legs and the first error are the reference's
+    rng = random.Random(11)
+    for trial in range(300):
+        values = [rng.choice(JSON_VALUES) for _ in range(rng.randrange(1, 40))]
+        cases = [values]
+        for at in (0, len(values) // 2, len(values)):
+            bad = rng.sample(BAD_VALUES, 2)
+            cases.append(values[:at] + [bad[0]] + values[at:] + [bad[1]])
+        for case in cases:
+            expected = decoded_or_error(reference_gaussian_from_json, case)
+            leg = decoded_or_error(gaussian_from_json, case)
+            if expected[0] == "error":
+                assert leg == expected
+                continue
+            _, re, im, den = leg
+            assert (re.tolist(), im.tolist(), den) == expected[1:]
+            dtype = np.int64 if max(map(abs, expected[1] + expected[2])) < 1 << 62 else object
+            assert re.dtype == im.dtype == dtype and re.shape == (len(case),)

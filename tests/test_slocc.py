@@ -148,6 +148,33 @@ def test_build_protocol_beyond_the_float_range_raises_resource_error():
         build_protocol(squared, 2)
 
 
+def test_float_operators_equal_the_per_value_quotients_bit_for_bit():
+    # numerators and den below 2^53 are divided as floats, from 2^53 on (int64
+    # or Python-int legs) as integers: either way each entry is the per-value
+    # complex(re / den, im / den), which sets the scales and scaled operators
+    # (2^53 + 7) / 5 is not float(2^53 + 7) / 5, so a float division there shows
+    assert float(2 ** 53 + 7) / 5 != (2 ** 53 + 7) / 5
+    for big in (2 ** 53 - 1, 2 ** 53 + 7, 2 ** 63 + 1, 10 ** 30 + 3):
+        fifth = Fraction(big, 5)  # big is no multiple of 5, so every den is 5
+        d = make_decomposition((2, 2, 3), [
+            ((fifth, Scalar(-1, -fifth)), (1, Fraction(2, 5)), (fifth, 0, 1)),
+            ((0, Fraction(2, 5)), (Scalar(0, fifth), 1), (0, 1, -fifth))])
+        protocol = build_protocol(d, 3)
+        for leg, op, scale in zip(decomp.leg_arrays(d), protocol.ops, protocol.scales):
+            assert leg.den == 5 and (leg.re.dtype == object) == (big > 2 ** 62)
+            values = [[complex(x / leg.den, y / leg.den) for x, y in zip(*rows)]
+                      for rows in zip(leg.re.tolist(), leg.im.tolist())]
+            expected = np.zeros((leg.re.shape[1], 3), dtype=np.complex128)
+            expected[:, :2] = np.array(values, dtype=np.complex128).T
+            sigma = float(np.linalg.svd(expected, compute_uv=False)[0])
+            assert scale == sigma
+            assert op.tobytes() == (expected / sigma).tobytes()
+    # past the float range in the last leg, of Python ints: ResourceError
+    huge = make_decomposition((2, 2, 2), [((1, 0), (1, 0), (10 ** 400, 1))])
+    with pytest.raises(ResourceError, match="float range"):
+        build_protocol(huge, 2)
+
+
 def test_witness_consumers_raise_witness_mismatch():
     w = builtin_state("W")
     for wrong, first in ((ghz_decomposition(2), (0, 0, 0)), (ghz_decomposition(3), None)):
@@ -171,11 +198,14 @@ def test_build_protocol_verifies_a_target_the_witness_has_not_passed():
 
 
 def test_simulate_defaults_to_the_protocols_own_ghz_source():
-    # the default source is the builtin GHZ(n), built straight as arrays;
-    # the outcome and probability equal those from an explicit GHZ(n)
-    # tensor bit for bit
+    # the default source is GHZ(n), applied by placing leg A's columns on
+    # its diagonal; the outcome and probability equal those from an
+    # explicit GHZ(n) tensor bit for bit, with and without padding columns
+    square = decomposition_power(phi3_witness(), 2)  # 49 terms of PHI3 (x) PHI3
+    w_square = decomposition_power(w_rank3_decomposition(), 2)  # 9 terms of W (x) W
     for witness, n in ((builtin_decomposition("FIDUCCIA8_W2"), 8),
-                       (w_rank3_decomposition(), 5), (ghz_decomposition(3), 3)):
+                       (w_rank3_decomposition(), 5), (ghz_decomposition(3), 3),
+                       (square, 49), (square, 64), (w_square, 9), (w_square, 12)):
         protocol = build_protocol(witness, n)
         outcome, probability = simulate(protocol)
         expected, expected_probability = simulate(protocol, builtin_state("GHZ", n))

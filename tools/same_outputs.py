@@ -72,6 +72,16 @@ def write_inputs(root: Path) -> dict:
         terms = I.kron_terms(phi3_terms, phi3_terms)
         rng.shuffle(terms)
         write(f"phi3sq-witness{k}", I.decomposition_json((16, 16, 16), terms))
+    # the same 49 terms with every value spelled one of several ways: ints,
+    # unreduced and padded strings, {"re", "im"} objects, repeats of each
+    spellings = {-1: [-1, "-2/2", {"re": "-1"}, " -1", {"re": -1, "im": "0/3"}],
+                 0: [0, "0", "-0", "0/7", {"im": 0}, {"re": "0", "im": "-0"}],
+                 1: [1, "1", "3/3", {"re": 1}, {"re": "2/2", "im": 0}, "+1"]}
+    count = iter(range(1 << 20))
+    write("phi3sq-spelled", {"dims": [16, 16, 16], "terms": [
+        {leg: [spellings[int(x[0])][next(count) % len(spellings[int(x[0])])] for x in vector]
+         for leg, vector in zip("abc", term)}
+        for term in I.kron_terms(phi3_terms, phi3_terms)]})
     for k in range(2):
         image(f"phi3-image{k}", phi3, phi3_terms)
         image(f"w2-image{k}", w2, w2_terms)
@@ -145,6 +155,9 @@ def corpus(f: dict) -> list:
         ["convert", "PHI3", "--ghz", "7", "--simulate"],
         *(["convert", f["phi3sq"], "--ghz", "64", "--witness", f[f"phi3sq-witness{k}"],
            *simulate] for k in range(2)),
+        # as many GHZ levels as witness terms: no zero-padding columns
+        ["convert", f["phi3sq"], "--ghz", "49", "--witness", f["phi3sq-witness0"], *simulate],
+        ["convert", f["phi3sq"], "--ghz", "64", "--witness", f["phi3sq-spelled"], *simulate],
         *(["convert", f[name], "--ghz", "8", "--witness", f[f"{name}-witness"], *simulate]
           for name in ("phi3-image0", "w2-image0", "phi3-image1", "w2-image1")),
         ["convert", "GHZ", "--n", "1", "--ghz", "200", "--simulate"],
