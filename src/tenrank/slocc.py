@@ -140,22 +140,27 @@ def simulate(p: SloccProtocol, source: Tensor3 | None = None) -> tuple:
     accuracy.
     """
     a, b, c = p.ops
+    d_a, d_b = len(a), len(b)
     if source is None:
         # GHZ(n)'s nonzeros are the ones at (j, j, j), so leg A sends it to
-        # out[:, j, j] = A[:, j], zeros elsewhere: the first tensordot's
-        # result without the dense n^3 source, whose norm is sqrt(n)
+        # out[j, :, j] = A[:, j], zeros elsewhere; its norm is sqrt(n)
         n = dense_dims(p.input_dims())[0]
-        out = np.zeros((len(a), n, n), dtype=np.complex128)
-        out[:, np.arange(n), np.arange(n)] = a
+        out = np.zeros((n, d_a, n), dtype=np.complex128)
+        out[np.arange(n), :, np.arange(n)] = a.T
         norm_src = math.sqrt(n)
     elif source.dims != p.input_dims():
         raise InputError(f"source dims {source.dims} do not match protocol input "
                          f"{p.input_dims()}")
     else:
         src = source.to_numpy()
-        out, norm_src = np.tensordot(a, src, axes=(1, 0)), float(np.linalg.norm(src))
-    out = np.moveaxis(np.tensordot(b, out, axes=(1, 1)), 1, 0)
-    outcome = np.moveaxis(np.tensordot(c, out, axes=(1, 2)), 0, 2)
+        n, norm_src = len(src), float(np.linalg.norm(src))
+        out = np.tensordot(a, src, axes=(1, 0)).transpose(1, 0, 2)
+    # out is the source after leg A with axes (B, A, C): legs B and C are the
+    # np.dot calls np.tensordot makes, on the bytes it would pass, and only
+    # leg C's operand is still a transposing copy
+    out = np.dot(b, out.reshape(n, d_a * n)).reshape(d_b, d_a, n)
+    out = np.dot(c, out.transpose(2, 1, 0).reshape(n, d_a * d_b))
+    outcome = out.reshape(len(c), d_a, d_b).transpose(1, 2, 0)
     if norm_src == 0.0:
         raise InputError("source tensor is zero")
     probability = float(np.linalg.norm(outcome) ** 2 / norm_src ** 2)
@@ -344,11 +349,11 @@ def _float_matrix_json(arr: np.ndarray) -> str:
     """
     rows, cols = arr.shape
     flat = np.ascontiguousarray(arr, dtype=np.complex128).ravel()
-    keys = flat.view("V16").tolist()
-    fragments = {key: f'{{"re": {_json_float(z.real)}, "im": {_json_float(z.imag)}}}'
-                 for key, z in dict(zip(keys, flat.tolist())).items()}
-    data = ", ".join("[" + ", ".join(map(fragments.__getitem__, keys[i * cols:(i + 1) * cols]))
-                     + "]" for i in range(rows))
+    keys, inverse = np.unique(flat.view("V16"), return_inverse=True)
+    fragments = np.array([f'{{"re": {_json_float(z.real)}, "im": {_json_float(z.imag)}}}'
+                          for z in keys.view(np.complex128).tolist()], dtype=object)
+    data = ", ".join("[" + ", ".join(row) + "]"
+                     for row in fragments[inverse].reshape(rows, cols).tolist())
     return f'{{"rows": {rows}, "cols": {cols}, "data": [{data}]}}'
 
 

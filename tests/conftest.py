@@ -5,8 +5,10 @@ reconstruction code paths: ranks go through sympy's exact Matrix.rank,
 expansions through direct index loops over Fractions.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from tenrank import linalg, sampling
@@ -14,7 +16,7 @@ from tenrank.bilinear import BilinearProgram
 from tenrank.decomp import make_decomposition
 from tenrank.errors import InputError
 from tenrank.scalars import Scalar, _json_parts, _over_lcm, as_scalar
-from tenrank.tensors import Tensor3, make_tensor
+from tenrank.tensors import Tensor3, dense_dims, make_tensor
 
 
 def to_sympy(value: Scalar):
@@ -204,6 +206,27 @@ def reference_reconstruct(d):
                     if ck:
                         acc[base + k] = acc[base + k] + ab * ck
     return Tensor3(d.dims, acc)
+
+
+# -- the tensordot protocol simulation ------------------------------------------
+
+
+def reference_simulate(p, source=None):
+    """(outcome, probability) of `slocc.simulate`, by the three np.tensordot
+    calls it replaced: the default GHZ(n) source placed as leg A's result
+    out[:, j, j] = A[:, j], an explicit source contracted with leg A."""
+    a, b, c = p.ops
+    if source is None:
+        n = dense_dims(p.input_dims())[0]
+        out = np.zeros((len(a), n, n), dtype=np.complex128)
+        out[:, np.arange(n), np.arange(n)] = a
+        norm_src = math.sqrt(n)
+    else:
+        src = source.to_numpy()
+        out, norm_src = np.tensordot(a, src, axes=(1, 0)), float(np.linalg.norm(src))
+    out = np.moveaxis(np.tensordot(b, out, axes=(1, 1)), 1, 0)
+    outcome = np.moveaxis(np.tensordot(c, out, axes=(1, 2)), 0, 2)
+    return outcome, float(np.linalg.norm(outcome) ** 2 / norm_src ** 2)
 
 
 # -- seeded random inputs -------------------------------------------------------

@@ -1,12 +1,21 @@
+import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import invertible_matrix, mat_mul, matrix, oracle_rank
+from conftest import (
+    invertible_matrix,
+    mat_mul,
+    matrix,
+    nonzero_vector,
+    oracle_rank,
+    reference_simulate,
+)
 
 from tenrank import decomp, linalg, pencil, sampling, slocc, tensors
 from tenrank.bilinear import phi3_matmul_witness
@@ -203,9 +212,20 @@ def test_simulate_defaults_to_the_protocols_own_ghz_source():
     # explicit GHZ(n) tensor bit for bit, with and without padding columns
     square = decomposition_power(phi3_witness(), 2)  # 49 terms of PHI3 (x) PHI3
     w_square = decomposition_power(w_rank3_decomposition(), 2)  # 9 terms of W (x) W
+    # complex witnesses: PHI3's moved by complex invertible operators, and
+    # random terms of a non-cubic shape
+    rng = random.Random(26)
+    image = LocalOperatorTriple(*(invertible_matrix(rng, 4, complex_parts=True)
+                                  for _ in range(3)))
+    phi3_image = transport(image, phi3_witness())
+    r = 5
+    non_cubic = make_decomposition((2, 3, 5), [
+        [nonzero_vector(rng, dim, complex_parts=True) for dim in (2, 3, 5)] for _ in range(r)])
     for witness, n in ((builtin_decomposition("FIDUCCIA8_W2"), 8),
                        (w_rank3_decomposition(), 5), (ghz_decomposition(3), 3),
-                       (square, 49), (square, 64), (w_square, 9), (w_square, 12)):
+                       (square, 49), (square, 64), (w_square, 9), (w_square, 12),
+                       (phi3_image, 7), (phi3_image, 9), (phi3_image, 16),
+                       (non_cubic, r), (non_cubic, r + 4)):
         protocol = build_protocol(witness, n)
         outcome, probability = simulate(protocol)
         expected, expected_probability = simulate(protocol, builtin_state("GHZ", n))
@@ -215,6 +235,42 @@ def test_simulate_defaults_to_the_protocols_own_ghz_source():
         listed = make_tensor((n, n, n), {(i, i, i): 1 for i in range(n)})
         assert builtin_state("GHZ", n) == listed and hash(builtin_state("GHZ", n)) == hash(listed)
         assert builtin_state("GHZ", n).to_numpy().tobytes() == listed.to_numpy().tobytes()
+
+
+def test_simulate_issues_the_tensordot_products_on_the_same_bytes():
+    # simulate feeds np.dot the operands np.tensordot built, so every
+    # outcome bit matches the tensordot form, whatever kernel BLAS picks
+    # for the shape
+    rng = np.random.default_rng(26)
+    sizes = (1, 2, 3, 16)
+    for n in (1, 3, 8, 41, 64):
+        ghz = builtin_state("GHZ", n)
+        for dims in itertools.product(sizes, repeat=3):
+            ops = tuple(rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+                        for d in dims)
+            protocol = slocc.SloccProtocol(ops=ops, witness=None, scales=(1.0,) * 3,
+                                           source_dim=n, success_probability=0.0, target=None)
+            for source in (None, ghz):
+                outcome, probability = simulate(protocol, source)
+                expected, expected_probability = reference_simulate(protocol, source)
+                assert outcome.shape == expected.shape == dims
+                assert outcome.tobytes() == expected.tobytes()
+                assert probability == expected_probability
+
+
+def test_simulate_allocates_one_placed_source_and_small_products():
+    # the ghz64 protocol: the (n, dA, n) placed source plus the B product,
+    # its transposed copy and the C product, each at most dA * dB * n entries
+    protocol = build_protocol(decomposition_power(phi3_witness(), 2), 64)
+    (d_a, n), d_b = protocol.ops[0].shape, len(protocol.ops[1])
+    tracemalloc.start()
+    try:
+        simulate(protocol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entry = np.dtype(np.complex128).itemsize
+    assert peak <= (n * d_a * n + 3 * d_a * d_b * n) * entry  # 1.75 MB
 
 
 def test_simulate_default_source_keeps_the_dense_cap():
@@ -660,7 +716,16 @@ def test_float_matrix_json_matches_the_per_element_form():
                              complex(0.0, -0.0)]
         assert slocc._float_matrix_json(arr) == json.dumps(_reference_matrix(arr))
     repeated = np.tile(np.array([[0.5 - 0.0j, -0.5 + 1j, 0.0, -0.0 + 0.0j]]), (3, 4))
-    assert slocc._float_matrix_json(repeated) == json.dumps(_reference_matrix(repeated))
+    # a ghz64-shaped operator: 49 columns of three values, 15 zero padding
+    ghz64 = np.zeros((16, 64), dtype=np.complex128)
+    ghz64[:, :49] = rng.choice([0.25, -0.25, 0.0], size=(16, 49))
+    constant = np.full((4, 6), 0.3 - 0.7j)
+    # NaNs whose payload bits differ, and zeros of both signs, in one row
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
+    mixed = np.array([[complex(nans[0], 1.0), complex(nans[1], 1.0), complex(1.0, nans[1]),
+                       complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]])
+    for arr in (repeated, ghz64, constant, mixed):
+        assert slocc._float_matrix_json(arr) == json.dumps(_reference_matrix(arr))
 
 
 def test_verdict_json_shape():

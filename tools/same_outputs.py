@@ -45,6 +45,9 @@ PRIME = 2147483629
 #: a numerator past int64, which tenrank then keeps as a Python int
 HUGE = 2 ** 63 + 5
 
+#: the term count of the non-cubic complex target and its witness
+NONCUBIC_TERMS = 4
+
 
 def write_inputs(root: Path) -> dict:
     """The corpus's input files, written under `root`; name -> path."""
@@ -143,6 +146,13 @@ def write_inputs(root: Path) -> dict:
         {"i": [1, 1, 1], "re": "-5"}]})
     write("phi3sq-e000", I.tensor_json((32, 32, 32), I.kron_tensor(
         phi3sq, (2, 2, 2), {(0, 0, 0): I.ONE})))
+    # drawn after the above: a non-cubic target, the sum of NONCUBIC_TERMS
+    # random complex terms, and those terms as its witness
+    dims = (2, 3, 5)
+    terms = [tuple(tuple(I.nonzero_gauss_rational(rng, 3, 3) for _ in range(d)) for d in dims)
+             for _ in range(NONCUBIC_TERMS)]
+    write("noncubic", I.tensor_json(dims, I.reconstruct(dims, terms)))
+    write("noncubic-witness", I.decomposition_json(dims, terms))
     return files
 
 
@@ -160,6 +170,12 @@ def corpus(f: dict) -> list:
         ["convert", f["phi3sq"], "--ghz", "64", "--witness", f["phi3sq-spelled"], *simulate],
         *(["convert", f[name], "--ghz", "8", "--witness", f[f"{name}-witness"], *simulate]
           for name in ("phi3-image0", "w2-image0", "phi3-image1", "w2-image1")),
+        # complex witnesses with zero-padding columns, one of them non-cubic
+        ["convert", f["phi3-image0"], "--ghz", "12", "--witness", f["phi3-image0-witness"],
+         *simulate],
+        ["convert", f["noncubic"], "--ghz", str(NONCUBIC_TERMS + 3), "--witness",
+         f["noncubic-witness"], *simulate],
+        ["convert", "PHI3", "--ghz", "9", "--simulate"],
         ["convert", "GHZ", "--n", "1", "--ghz", "200", "--simulate"],
         # verdicts
         ["convert", "W", "--ghz", "2"],
