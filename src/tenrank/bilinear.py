@@ -26,10 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .decomp import (
     ProductDecomposition,
-    leg_arrays,
     make_decomposition,
     require_witness,
     strassen7_decomposition,
@@ -167,7 +165,7 @@ class BilinearProgram:
     def _prepared(self) -> _Prepared:
         """The a-leg, the b-leg and the transposed c-leg as sparse
         Gaussian-integer rows, built on first use."""
-        a, b, c = leg_arrays(self.decomposition)
+        a, b, c = self.decomposition.terms.legs()
         return _Prepared(_sparse_rows(a), _sparse_rows(b),
                          _sparse_rows(Leg(c.re.T, c.im.T, c.den)))
 
@@ -536,10 +534,9 @@ def strassen_multiply_float(x: np.ndarray, y: np.ndarray, cutoff: int = 1) -> tu
 
 
 def matrix_to_json(m) -> dict:
-    rows, cols = linalg.shape(m)
     return {
-        "rows": rows,
-        "cols": cols,
+        "rows": len(m),
+        "cols": len(m[0]) if m else 0,
         "data": [[scalar_to_json(x) for x in row] for row in m],
     }
 

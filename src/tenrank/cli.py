@@ -26,12 +26,12 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import sampling
 from .als import AlsConfig
 from .bilinear import strassen_multiply, strassen_multiply_float
 from .decomp import (
@@ -48,6 +48,7 @@ from .decomp import (
     als_search,
 )
 from .errors import ResourceError, TenrankError, WitnessMismatch
+from .scalars import Scalar
 from .slocc import (
     build_protocol,
     classify_three_qubit,
@@ -263,6 +264,13 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _random_operand(rng: random.Random, size: int) -> tuple:
+    """A size x size matrix of rationals p/q, p in [-9, 9] and q in {1, 2},
+    drawn row by row from the stdlib generator (stable across platforms)."""
+    return tuple(tuple(Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 2)))
+                       for _ in range(size)) for _ in range(size))
+
+
 def _cmd_matmul(args) -> int:
     k = args.n
     if k < 0:
@@ -290,8 +298,7 @@ def _cmd_matmul(args) -> int:
         }))
         return EXIT_OK
 
-    x = sampling.matrix(rng, size, size, max_num=9, max_den=2)
-    y = sampling.matrix(rng, size, size, max_num=9, max_den=2)
+    x, y = _random_operand(rng, size), _random_operand(rng, size)
     z, count = strassen_multiply(x, y, cutoff=args.cutoff)
     payload = {
         "n": k,

@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .als import AlsConfig, AlsResult, als_decompose
 from .errors import InputError, ResourceError, WitnessMismatch
 from .scalars import (
+    ONE,
     ZERO,
     Leg,
     Scalar,
@@ -59,10 +59,6 @@ DEFAULT_TERM_CAP = 1 << 20
 #: to the randomized contraction identity
 DENSE_VERIFY_LIMIT = 100_000
 
-#: decomposition_power materializes its term list only while
-#: r^n * (dA + dB + dC) stays below this scalar budget
-_MATERIALIZE_SCALARS = 1 << 18
-
 
 class Term(NamedTuple):
     a: tuple
@@ -74,15 +70,18 @@ class Term(NamedTuple):
 class ProductDecomposition:
     """r product terms (a_k, b_k, c_k) over exact scalars.
 
-    `terms` is any immutable sequence of Terms.  `make_decomposition`
-    stores the terms as Gaussian-integer arrays (ArrayTerms), and large
-    tensor powers use a lazy sequence that generates Kronecker terms on
-    demand (see KroneckerPowerTerms) so the term count can exceed what fits
-    in memory as explicit vectors.
+    `terms` is an ArrayTerms: Gaussian-integer arrays, or the base arrays
+    and copy count of a Kronecker power, so the term count can exceed what
+    fits in memory as explicit vectors.  Any other sequence of Terms is
+    converted to one on construction; no given value object is kept.
     """
 
     dims: tuple
-    terms: Sequence
+    terms: ArrayTerms
+
+    def __post_init__(self):
+        if not isinstance(self.terms, ArrayTerms):
+            object.__setattr__(self, "terms", ArrayTerms.from_terms(self.terms, self.dims))
 
     @property
     def rank(self) -> int:
@@ -90,50 +89,86 @@ class ProductDecomposition:
 
 
 class ArrayTerms(Sequence):
-    """r product terms stored as three Legs, one per tensor leg.
+    """The product terms of the copies-fold Kronecker power of r base terms,
+    stored as the base's three Legs, one per tensor leg (one copy: the
+    terms themselves).
 
-    A Term of Scalars is built on access, so the sequence behaves as the
-    tuple of its Terms (length, indexing, slices as tuples, equality by
-    value) while holding only integer arrays.
+    Term j is the leg-wise Kronecker product of the base terms named by the
+    base-r digits of j (first copy = most significant digit).  `legs` gives
+    the Legs of any run of terms, and a Term of Scalars is built on access,
+    so the sequence behaves as the tuple of its Terms (length, indexing,
+    slices as tuples, equality by value) while holding only the base's
+    integer arrays.
     """
 
-    __slots__ = ("legs",)
+    __slots__ = ("base_legs", "copies", "_len")
 
-    def __init__(self, legs):
-        self.legs = tuple(legs)
-        for leg in self.legs:
+    def __init__(self, base_legs, copies: int = 1):
+        self.base_legs = tuple(base_legs)
+        for leg in self.base_legs:
             leg.re.flags.writeable = leg.im.flags.writeable = False
+        self.copies = copies
+        self._len = len(self.base_legs[0].re) ** copies
 
     @classmethod
     def from_terms(cls, terms, dims) -> "ArrayTerms":
         """Terms of exact vectors (Scalars, ints, Fractions or "p/q"
-        strings) of the given dims; no given value object is kept."""
+        strings) of the given dims; no given value object is kept.  A
+        vector of another length raises InputError."""
+        _check_lengths(dims, [tuple(map(len, term)) for term in terms])
         return cls(_to_leg([x for term in terms for x in term[leg]], (len(terms), dim))
                    for leg, dim in enumerate(dims))
 
+    @property
+    def base_terms(self) -> "ArrayTerms":
+        """The r base terms, one copy."""
+        return ArrayTerms(self.base_legs)
+
     def __len__(self):
-        return len(self.legs[0].re)
+        return self._len
+
+    def legs(self, first: int = 0, stop: int | None = None) -> tuple:
+        """The three Legs of terms first, ..., stop - 1 (all terms by
+        default): the stored Legs for one copy read whole, rows of the
+        Kronecker power in lowest terms otherwise."""
+        stop = self._len if stop is None else min(stop, self._len)
+        if self.copies == 1 and first == 0 and stop == self._len:
+            return self.base_legs
+        rows = np.arange(first, stop)
+        return tuple(_kron_rows(leg, self.copies, rows) for leg in self.base_legs)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(self[j] for j in range(*k.indices(len(self))))
-        k = range(len(self))[k]  # negative indices count from the end; IndexError past it
-        return Term(*(tuple(map(from_gaussian, leg.re[k].tolist(), leg.im[k].tolist(),
+            return tuple(self[j] for j in range(*k.indices(self._len)))
+        k = range(self._len)[k]  # negative indices count from the end; IndexError past it
+        legs, row = (self.base_legs, k) if self.copies == 1 else (self.legs(k, k + 1), 0)
+        return Term(*(tuple(map(from_gaussian, leg.re[row].tolist(), leg.im[row].tolist(),
                                 itertools.repeat(leg.den)))
-                      for leg in self.legs))
+                      for leg in legs))
 
     def __eq__(self, other):
+        """Equal powers of equal bases are equal as they stand; otherwise
+        the Legs are compared a bounded number of rows at a time, over equal
+        denominators by their numerators and over others by their Terms."""
         if not isinstance(other, Sequence):
             return NotImplemented
         if len(self) != len(other):
             return False
-        if isinstance(other, ArrayTerms) and all(
-                x.den == y.den for x, y in zip(self.legs, other.legs)):
-            # over equal denominators, equal values have equal numerators
-            return not len(self) or all(
-                np.array_equal(x.re, y.re) and np.array_equal(x.im, y.im)
-                for x, y in zip(self.legs, other.legs))
-        return all(map(operator.eq, self, other))
+        if not isinstance(other, ArrayTerms):
+            return all(map(operator.eq, self, other))
+        if self.copies == other.copies and _same_legs(self.base_legs, other.base_legs):
+            return True
+        step = max(1, _CHUNK_SCALARS // sum(leg.re.shape[1] ** self.copies
+                                            for leg in self.base_legs))
+        for first in range(0, self._len, step):
+            mine, theirs = self.legs(first, first + step), other.legs(first, first + step)
+            if all(x.den == y.den for x, y in zip(mine, theirs)):
+                # over equal denominators, equal values have equal numerators
+                if not _same_legs(mine, theirs):
+                    return False
+            elif self[first:first + step] != other[first:first + step]:
+                return False
+        return True
 
     def __hash__(self):
         return hash(tuple(self))
@@ -142,14 +177,29 @@ class ArrayTerms(Sequence):
         return repr(tuple(self))
 
 
-def leg_arrays(d: ProductDecomposition) -> tuple:
-    """d's three Legs: stored for ArrayTerms, built from the base for a lazy
-    power, converted from the terms' vectors for any other sequence."""
-    if isinstance(d.terms, ArrayTerms):
-        return d.terms.legs
-    if isinstance(d.terms, KroneckerPowerTerms):
-        return d.terms.legs()
-    return ArrayTerms.from_terms(d.terms, d.dims).legs
+def _same_legs(xs, ys) -> bool:
+    """Whether two runs of Legs have equal denominators and numerators."""
+    return all(x.den == y.den and np.array_equal(x.re, y.re) and np.array_equal(x.im, y.im)
+               for x, y in zip(xs, ys))
+
+
+def _kron_rows(leg: Leg, copies: int, rows: np.ndarray) -> Leg:
+    """The given rows of the copies-fold Kronecker power of a leg, in
+    lowest terms: row j is the Kronecker product of the base rows named by
+    the base-r digits of j, first copy most significant."""
+    # each copy at most doubles the largest part times max|leg|
+    dtype = _int_dtype(2 ** (copies - 1) * _max_abs(leg) ** copies)
+    base_re, base_im = leg.re.astype(dtype), leg.im.astype(dtype)
+
+    def kron(x, y):  # row k: the Kronecker product of row k of x and row k of y
+        return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
+
+    first, *rest = np.unravel_index(rows, (len(leg.re),) * copies)
+    re, im = base_re[first], base_im[first]
+    for digit in rest:
+        xr, xi = base_re[digit], base_im[digit]
+        re, im = kron(re, xr) - kron(im, xi), kron(re, xi) + kron(im, xr)
+    return _lowest(re, im, leg.den ** copies)
 
 
 def term_values(d: ProductDecomposition, convert) -> tuple:
@@ -157,7 +207,7 @@ def term_values(d: ProductDecomposition, convert) -> tuple:
     distinct value of d (numerator pair and leg denominator)."""
     memo = {}
     legs = []
-    for leg in leg_arrays(d):
+    for leg in d.terms.legs():
         r, dim = leg.re.shape
         keys = list(zip(leg.re.ravel().tolist(), leg.im.ravel().tolist(),
                         itertools.repeat(leg.den)))
@@ -178,6 +228,13 @@ def make_decomposition(dims, terms) -> ProductDecomposition:
                       lambda dims: ArrayTerms.from_terms(terms, dims))
 
 
+def _check_lengths(dims, lengths) -> None:
+    """InputError unless every term's vector lengths equal dims."""
+    for k, term in enumerate(lengths):
+        if term != tuple(dims):
+            raise InputError(f"term {k} has vector lengths {term}, expected {tuple(dims)}")
+
+
 def _validated(dims, lengths, stored) -> ProductDecomposition:
     """The decomposition of the ArrayTerms stored(dims) once the dims are
     positive and equal to every term's vector lengths; InputError
@@ -185,64 +242,14 @@ def _validated(dims, lengths, stored) -> ProductDecomposition:
     da, db, dc = dims
     if min(da, db, dc) < 1:
         raise InputError(f"dimensions must be positive, got {tuple(dims)}")
-    for k, term in enumerate(lengths):
-        if term != (da, db, dc):
-            raise InputError(f"term {k} has vector lengths {term}, expected {tuple(dims)}")
+    _check_lengths((da, db, dc), lengths)
     stored = stored((da, db, dc))
     zero = np.zeros(len(stored), dtype=bool)
-    for leg in stored.legs:
+    for leg in stored.legs():
         zero |= ~((leg.re != 0) | (leg.im != 0)).any(axis=1)
     if zero.any():
         raise InputError(f"term {int(np.argmax(zero))} contains an all-zero vector")
     return ProductDecomposition((da, db, dc), stored)
-
-
-class KroneckerPowerTerms(Sequence):
-    """Lazy term list of the n-th Kronecker power of a base decomposition.
-
-    Term j is the leg-wise Kronecker product of the base terms named by the
-    base-r digits of j (first copy = most significant digit).  Only the
-    base is stored, as the ArrayTerms `base_terms`; `legs` builds the Legs
-    of any run of terms, and a Term of Scalars is built on access.
-    """
-
-    def __init__(self, base: ProductDecomposition, copies: int):
-        self.base_terms = ArrayTerms(leg_arrays(base))
-        self.copies = copies
-        self._len = len(self.base_terms) ** copies
-
-    def __len__(self):
-        return self._len
-
-    def legs(self, first: int = 0, stop: int | None = None) -> tuple:
-        """The three Legs of terms first, ..., stop - 1 (all terms by default)."""
-        rows = np.arange(first, self._len if stop is None else min(stop, self._len))
-        return tuple(_kron_rows(leg, self.copies, rows) for leg in self.base_terms.legs)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(self._len))]
-        j = range(self._len)[j]
-        return ArrayTerms(self.legs(j, j + 1))[0]
-
-
-def _kron_rows(leg: Leg, copies: int, rows: np.ndarray) -> Leg:
-    """The given rows of the copies-fold Kronecker power of a leg, in
-    lowest terms: row j is the Kronecker product of the base rows named by
-    the base-r digits of j, first copy most significant."""
-    # each copy at most doubles the largest part times max|leg|
-    dtype = _int_dtype(2 ** (copies - 1) * _max_abs(leg) ** copies)
-    base_re, base_im = leg.re.astype(dtype), leg.im.astype(dtype)
-
-    def kron(x, y):  # row k: the Kronecker product of row k of x and row k of y
-        return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
-
-    first, *rest = np.unravel_index(rows, (len(leg.re),) * copies)
-    re, im = base_re[first], base_im[first]
-    for digit in rest:
-        xr, xi = base_re[digit], base_im[digit]
-        re, im = kron(re, xr) - kron(im, xi), kron(re, xi) + kron(im, xr)
-    return _lowest(re, im, leg.den ** copies)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +274,7 @@ def _dense_numerators(d: ProductDecomposition):
     (dtype object) otherwise; either way the result is exact.
     """
     da, db, dc = dense_dims(d.dims)
-    legs = leg_arrays(d)
+    legs = d.terms.legs()
     r = len(legs[0].re)
     # a leg of zeros counts as 1, so every numerator also lies below the bound
     dtype = _int_dtype(4 * r * math.prod(_max_abs(leg) or 1 for leg in legs))
@@ -320,8 +327,7 @@ def verify_decomposition(t: Tensor3, d: ProductDecomposition) -> VerifyResult:
     if t.dims != d.dims:
         raise WitnessMismatch(f"dims mismatch: tensor {t.dims} vs decomposition {d.dims}")
     if len(d.terms) > DENSE_VERIFY_LIMIT:
-        lazy = d.terms if isinstance(d.terms, KroneckerPowerTerms) else KroneckerPowerTerms(d, 1)
-        return _probe(t, lazy, copies=1, probes=20, seed=20)
+        return _probe(t, d.terms, copies=1, probes=20, seed=20)
     re, im, den = _dense_numerators(d)
     # off t's support the reconstruction must vanish; on it compare the
     # cross-multiplied numerators t_num * den == r_num * t_den
@@ -341,10 +347,9 @@ def require_witness(t: Tensor3, d: ProductDecomposition) -> ProductDecomposition
     """Return d after verifying it against t; raise WitnessMismatch when
     the dims differ or the check fails.
 
-    A decomposition with a tuple, array or lazy-power term list remembers the
-    tensor object it last passed against, and the same pair (by identity;
-    both are immutable) is not verified again.  Any other tensor, equal or
-    not, is verified in full.
+    A decomposition remembers the tensor object it last passed against, and
+    the same pair (by identity; both are immutable) is not verified again.
+    Any other tensor, equal or not, is verified in full.
     """
     if getattr(d, "_verified_target", None) is t:
         return d
@@ -353,24 +358,22 @@ def require_witness(t: Tensor3, d: ProductDecomposition) -> ProductDecomposition
         raise WitnessMismatch(f"witness does not reconstruct the target "
                               f"(first mismatch at {result.first_mismatch})",
                               result.first_mismatch)
-    if isinstance(d.terms, (tuple, ArrayTerms, KroneckerPowerTerms)):
-        object.__setattr__(d, "_verified_target", t)
+    object.__setattr__(d, "_verified_target", t)
     return d
 
 
 def decomposition_contract(d: ProductDecomposition, x, y, z) -> Scalar:
-    """Exact contraction sum_k (a_k . x)(b_k . y)(c_k . z)."""
+    """Exact contraction sum_k (a_k . x)(b_k . y)(c_k . z), term by term in
+    Scalars, skipping zero products (the reference of the probe kernels)."""
     acc = ZERO
     for term in d.terms:
-        pa = linalg.dot(term.a, x)
-        if not pa:
-            continue
-        pb = linalg.dot(term.b, y)
-        if not pb:
-            continue
-        pc = linalg.dot(term.c, z)
-        if pc:
-            acc = acc + pa * pb * pc
+        value = ONE
+        for vector, probe in zip(term, (x, y, z)):
+            value = value * sum((u * v for u, v in zip(vector, probe) if u and v), ZERO)
+            if not value:
+                break
+        else:
+            acc = acc + value
     return acc
 
 
@@ -390,7 +393,7 @@ def transport(ops: LocalOperatorTriple, d: ProductDecomposition) -> ProductDecom
             "refusing to transport a decomposition with more than "
             f"{DENSE_VERIFY_LIMIT} terms; transport the base and take the power instead"
         )
-    legs = (_mapped(m, leg) for m, leg in zip((ops.A, ops.B, ops.C), leg_arrays(d)))
+    legs = (_mapped(m, leg) for m, leg in zip((ops.A, ops.B, ops.C), d.terms.legs()))
     return ProductDecomposition(ops.output_dims(), ArrayTerms(legs))
 
 
@@ -540,32 +543,29 @@ def decomposition_power(d: ProductDecomposition, n: int) -> ProductDecomposition
     product of one base term per copy; reconstructs the n-fold tensor
     product of d's target.
 
-    The term list is materialized while small and generated lazily
-    otherwise, so powers like 7^6 terms stay addressable without holding
-    every vector in memory.
+    Only d's Legs and the copy count are stored, so powers like 7^6 terms
+    stay addressable without holding every vector in memory.
     """
     if n < 1:
         raise InputError("power must be a positive integer")
-    if isinstance(d.terms, KroneckerPowerTerms):
-        raise InputError("cannot take the power of an already-lazy power; "
+    if d.terms.copies > 1:
+        raise InputError("cannot take the power of a power; "
                          "raise the base decomposition instead")
     r = len(d.terms)
     total = r ** n
     limit = term_cap()
     if total > limit:
         raise ResourceError(f"{r}^{n} = {total} terms exceeds the term cap {limit}")
-    dims = tuple(dim ** n for dim in d.dims)
-    lazy = KroneckerPowerTerms(d, n)
-    if total * sum(dims) <= _MATERIALIZE_SCALARS:
-        return ProductDecomposition(dims, ArrayTerms(lazy.legs()))
-    return ProductDecomposition(dims, lazy)
+    return ProductDecomposition(tuple(dim ** n for dim in d.dims),
+                                ArrayTerms(d.terms.base_legs, n))
 
 
 def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
                             probes: int = 20, seed: int = 0) -> VerifyResult:
     """Randomized contraction check of a Kronecker-power decomposition
     against the matching tensor power of `base_target`, without
-    materializing either side.
+    materializing either side; a decomposition that is no power is its
+    own one-copy power.
 
     Each probe draws integer vectors x_j, y_j, z_j per copy j, every entry
     uniform in S = {-25, ..., 25}, and compares the exact contractions
@@ -583,23 +583,19 @@ def verify_power_randomized(base_target: Tensor3, power: ProductDecomposition,
     numpy's generator (a negative seed draws the probes of its absolute
     value, as `random.Random` does); fewer than one probe raises InputError.
     """
-    if not isinstance(power.terms, KroneckerPowerTerms):
-        raise InputError("verify_power_randomized needs a lazy Kronecker power")
-    lazy = power.terms
-    n = lazy.copies
+    n = power.terms.copies
     if tuple(dim ** n for dim in base_target.dims) != power.dims:
         raise InputError(
             f"power dims {power.dims} are not the {n}-th power of base dims {base_target.dims}"
         )
-    base = ProductDecomposition(base_target.dims, lazy.base_terms)
-    return _probe(base_target, KroneckerPowerTerms(base, 1), n, probes, seed)
+    return _probe(base_target, power.terms.base_terms, n, probes, seed)
 
 
 #: the randomized checks draw every probe entry from S = {-25, ..., 25}
 _PROBE_MAX = 25
 
 
-def _probe(target: Tensor3, terms: KroneckerPowerTerms, copies: int, probes: int,
+def _probe(target: Tensor3, terms: ArrayTerms, copies: int, probes: int,
            seed: int) -> VerifyResult:
     """The randomized check shared by both verifiers: `probes` probes of
     `copies` copies each compare the products over the copies of the
@@ -625,14 +621,14 @@ def _probe(target: Tensor3, terms: KroneckerPowerTerms, copies: int, probes: int
     return VerifyResult(ok, None, randomized=True)
 
 
-def _terms_values(terms: KroneckerPowerTerms, xs) -> tuple:
+def _terms_values(terms: ArrayTerms, xs) -> tuple:
     """sum_k (a_k . x)(b_k . y)(c_k . z) over the terms for each row
     (x, y, z) of the probe matrices xs, as Gaussian numerators (lists of
     Python ints) over one denominator.  The terms are built a bounded
     number at a time, so a lazy power never has all its rows at once."""
     m = len(xs[0])
     re, im = [0] * m, [0] * m
-    den = math.prod(leg.den ** terms.copies for leg in terms.base_terms.legs)
+    den = math.prod(leg.den ** terms.copies for leg in terms.base_legs)
     step = max(1, _CHUNK_SCALARS // (m + sum(x.shape[1] for x in xs)))
     for first in range(0, len(terms), step):
         legs = terms.legs(first, first + step)

@@ -14,25 +14,6 @@ Matrix = "tuple[tuple[Scalar, ...], ...]"
 Vector = "tuple[Scalar, ...]"
 
 
-def identity(n: int) -> tuple:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def shape(m) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
-
-
-def dot(x, y):
-    """Bilinear dot product (no conjugation)."""
-    acc = ZERO
-    for xi, yi in zip(x, y):
-        if xi and yi:
-            acc = acc + xi * yi
-    return acc
-
-
 def _echelon(rows: list) -> tuple[list, list]:
     """In-place row echelon reduction; returns (nonzero rows, pivot columns)."""
     if not rows:

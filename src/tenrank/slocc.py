@@ -24,7 +24,6 @@ from .decomp import (
     als_search,
     decomposition_to_json,
     hyperdeterminant_2x2x2,
-    leg_arrays,
     rank_bounds,
     rationalize_result,
     reconstruct,
@@ -75,7 +74,7 @@ class SloccProtocol:
             return np.hstack([part.T, zeros])
 
         return LocalOperatorTriple(*(Leg(padded(leg.re), padded(leg.im), leg.den)
-                                     for leg in leg_arrays(self.witness)))
+                                     for leg in self.witness.terms.legs()))
 
 
 def build_protocol(d: ProductDecomposition, n: int,
@@ -105,7 +104,7 @@ def build_protocol(d: ProductDecomposition, n: int,
     float_ops = []
     scales = []
     try:
-        for leg, dim in zip(leg_arrays(d), d.dims):
+        for leg, dim in zip(d.terms.legs(), d.dims):
             # the padding columns stay the zeros the array starts with
             arr = np.zeros((dim, n), dtype=np.complex128)
             arr[:, :r] = _floats(leg).T

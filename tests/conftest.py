@@ -11,7 +11,9 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from tenrank import linalg, sampling
+import sampling
+
+from tenrank import linalg
 from tenrank.bilinear import BilinearProgram
 from tenrank.decomp import make_decomposition
 from tenrank.errors import InputError
@@ -103,6 +105,10 @@ def vector(entries):
 
 def zeros(rows, cols):
     return tuple((Scalar(0),) * cols for _ in range(rows))
+
+
+def identity(n):
+    return tuple(tuple(Scalar(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def _dot(x, y):

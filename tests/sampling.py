@@ -1,4 +1,4 @@
-"""Seeded random rational objects for `tenrank matmul` operands and tests.
+"""Seeded random rational objects for the tests.
 
 Uses the stdlib `random.Random` so streams are reproducible across
 platforms for a fixed seed.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import Scalar
+from tenrank.scalars import Scalar
 
 
 def rational(rng: random.Random, max_num: int = 9, max_den: int = 4) -> Fraction:

@@ -13,8 +13,8 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import invertible_matrix, mat_mul, matrix, nonzero_vector
+import sampling
 
-from tenrank import sampling
 from tenrank.als import AlsConfig
 from tenrank.bilinear import (
     matmul_tensor,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    identity,
     nonzero_vector,
     oracle_matmul,
     oracle_rank,
@@ -17,8 +18,9 @@ from conftest import (
     vector,
     zeros,
 )
+import sampling
 
-from tenrank import bilinear, linalg, sampling
+from tenrank import bilinear, linalg
 from tenrank.bilinear import (
     BilinearProgram,
     MulCount,
@@ -319,7 +321,7 @@ def test_strassen_program_multiplies_exactly():
 def test_identity_times_anything():
     p = verify_for_matmul(to_bilinear(builtin_decomposition("STRASSEN7")), 2, 2, 2)
     y = rand_mat(random.Random(89), 2, 2)
-    z, _ = run_bilinear_matmul(p, linalg.identity(2), y)
+    z, _ = run_bilinear_matmul(p, identity(2), y)
     assert z == y
 
 
@@ -399,12 +401,12 @@ def test_gaussian_rational_program_keeps_scale_bookkeeping():
 
 def test_unverified_program_is_a_state_error():
     p = to_bilinear(builtin_decomposition("STRASSEN7"))
-    x = linalg.identity(2)
+    x = identity(2)
     with pytest.raises(StateError):
         run_bilinear_matmul(p, x, x)
     verified = verify_for_matmul(p, 2, 2, 2)
     with pytest.raises(StateError):
-        run_bilinear_matmul(verified, linalg.identity(4), linalg.identity(4))
+        run_bilinear_matmul(verified, identity(4), identity(4))
 
 
 def test_verify_for_matmul_rejects_wrong_program():
@@ -426,7 +428,7 @@ def test_verify_for_matmul_rejects_a_corrupted_strassen_program():
 def test_run_input_validation():
     p = verify_for_matmul(to_bilinear(builtin_decomposition("STRASSEN7")), 2, 2, 2)
     with pytest.raises(InputError):
-        run_bilinear_matmul(p, ((Scalar(1),),) * 2, linalg.identity(2))
+        run_bilinear_matmul(p, ((Scalar(1),),) * 2, identity(2))
 
 
 def test_verified_program_equals_naive_on_100_pairs():

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 from conftest import invertible_matrix
+import sampling
 
 import tenrank
-from tenrank import slocc
+from tenrank import cli, slocc
+from tenrank.bilinear import strassen_multiply
 from tenrank.als import AlsConfig
 from tenrank.cli import main
 from tenrank.decomp import (
@@ -358,7 +360,7 @@ def test_ghz64_convert_does_per_distinct_value_work(capsys, tmp_path, monkeypatc
     assert target.nnz() == 64 and target.values.den == 1
     assert set(target.values.re.tolist()) == {1} and not target.values.im.any()
     assert isinstance(witness.terms, ArrayTerms)
-    assert {(x, y, leg.den) for leg in witness.terms.legs
+    assert {(x, y, leg.den) for leg in witness.terms.legs()
             for x, y in zip(leg.re.ravel().tolist(), leg.im.ravel().tolist())} \
         == {(0, 0, 1), (1, 0, 1), (-1, 0, 1)}
     assert len(set(encoded)) == len(encoded) and set(encoded) <= {ZERO, ONE, MINUS_ONE}
@@ -544,6 +546,25 @@ def test_matmul_check_small(capsys):
 def test_matmul_scalar_case(capsys):
     code, out, _ = run(capsys, "matmul", "--n", "0")
     assert code == 0 and "nonscalar_mults=1" in out
+
+
+def test_matmul_operands_keep_the_seeded_stream(capsys, monkeypatch):
+    # matmul prints no operand, so check its draws against the generator the
+    # tests keep: per entry randint(-9, 9) then randint(1, 2), no imaginary part
+    operands = []
+
+    def recording(x, y, **kwargs):
+        operands.append((x, y))
+        return strassen_multiply(x, y, **kwargs)
+
+    monkeypatch.setattr(cli, "strassen_multiply", recording)
+    for seed in range(5):
+        for k, size in ((0, 1), (2, 4), (3, 8)):
+            assert run(capsys, "matmul", "--n", str(k), "--seed", str(seed))[0] == 0
+            rng = random.Random(seed)
+            expected = tuple(sampling.matrix(rng, size, size, max_num=9, max_den=2)
+                             for _ in range(2))
+            assert operands[-1] == expected
 
 
 def test_matmul_check_cap(capsys):

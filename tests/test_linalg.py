@@ -3,9 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import invertible_matrix, mat_mul, matrix, oracle_rank, sympy_matrix, vector, zeros
+from conftest import (
+    identity,
+    invertible_matrix,
+    mat_mul,
+    matrix,
+    oracle_rank,
+    sympy_matrix,
+    vector,
+    zeros,
+)
+import sampling
 
-from tenrank import linalg, sampling
+from tenrank import linalg
 from tenrank.errors import InputError
 from tenrank.scalars import Scalar
 
@@ -45,7 +55,7 @@ def test_inverse_round_trip():
     for _ in range(20):
         n = rng.randint(1, 4)
         m = invertible_matrix(rng, n, complex_parts=True, max_num=3, max_den=2)
-        assert mat_mul(m, linalg.inverse(m)) == linalg.identity(n)
+        assert mat_mul(m, linalg.inverse(m)) == identity(n)
     with pytest.raises(InputError):
         linalg.inverse(zeros(2, 2))
     with pytest.raises(InputError):
@@ -58,8 +68,3 @@ def test_rref_rows_span_and_pivots():
     assert len(rows) == 2 and pivots == (0, 2)
     for original in m:
         assert linalg.in_span(rows, original)
-
-
-def test_dot():
-    assert linalg.dot(vector([1, 2]), vector([3, 4])) == Scalar(11)
-    assert linalg.dot(vector([0, Scalar(0, 1)]), vector([5, Scalar(0, 1)])) == Scalar(-1)

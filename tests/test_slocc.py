@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    identity,
     invertible_matrix,
     mat_mul,
     matrix,
@@ -16,8 +17,9 @@ from conftest import (
     oracle_rank,
     reference_simulate,
 )
+import sampling
 
-from tenrank import decomp, linalg, pencil, sampling, slocc, tensors
+from tenrank import decomp, pencil, slocc, tensors
 from tenrank.bilinear import phi3_matmul_witness
 from tenrank.decomp import (
     Rank222,
@@ -169,7 +171,7 @@ def test_float_operators_equal_the_per_value_quotients_bit_for_bit():
             ((fifth, Scalar(-1, -fifth)), (1, Fraction(2, 5)), (fifth, 0, 1)),
             ((0, Fraction(2, 5)), (Scalar(0, fifth), 1), (0, 1, -fifth))])
         protocol = build_protocol(d, 3)
-        for leg, op, scale in zip(decomp.leg_arrays(d), protocol.ops, protocol.scales):
+        for leg, op, scale in zip(d.terms.legs(), protocol.ops, protocol.scales):
             assert leg.den == 5 and (leg.re.dtype == object) == (big > 2 ** 62)
             values = [[complex(x / leg.den, y / leg.den) for x, y in zip(*rows)]
                       for rows in zip(leg.re.tolist(), leg.im.tolist())]
@@ -390,7 +392,7 @@ def test_decide_found_and_rationalized_path():
     # GHZ(2) is not special-cased away when the registry is empty-handed:
     # scrub the registry by transforming GHZ into a non-registered basis
     ops = LocalOperatorTriple(
-        matrix([[1, 1], [0, 1]]), linalg.identity(2), linalg.identity(2)
+        matrix([[1, 1], [0, 1]]), identity(2), identity(2)
     )
     target = apply_local_operators(ops, builtin_state("GHZ", 2))
     verdict = decide_ghz_conversion(target, 2)

@@ -2,9 +2,15 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
+from collections import defaultdict
 from pathlib import Path
 
 import tenrank
+from tenrank import bilinear, decomp, slocc
+from tenrank.scalars import Scalar
 
 PACKAGE = Path(tenrank.__file__).parent
 
@@ -19,13 +25,19 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_trace_harness_names_resolve():
-    # the benchmark's traced run wraps these names with getattr; a missing
-    # one breaks only that run, so check them here
+def _bench_spans():
+    """The benchmark's trace harness, bench/spans.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_trace_harness_names_resolve():
+    # the benchmark's traced run wraps these names with getattr; a missing
+    # one breaks only that run, so check them here
+    spans = _bench_spans()
     missing = []
     for module_name, names in spans.LAYERS.values():
         module = importlib.import_module(module_name)
@@ -35,6 +47,41 @@ def test_trace_harness_names_resolve():
             if not callable(getattr(owner, attr, None)):
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+    # the harness finds each module in sys.modules once the benchmark has
+    # imported tenrank and tenrank.cli, so each must load with those two
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    loaded = subprocess.run([sys.executable, "-c", "import sys, tenrank, tenrank.cli; "
+                             "print(*sys.modules)"], env=env, capture_output=True,
+                            text=True, check=True, timeout=120).stdout.split()
+    assert [name for name, _ in spans.LAYERS.values() if name not in loaded] == []
+
+
+def test_trace_counters_read_real_results():
+    # the traced run's counters read attributes of tenrank's results; a
+    # renamed one breaks only that run, so feed them real results here
+    spans, counts = _bench_spans(), defaultdict(int)
+
+    def count(counter, fn, *args, **kwargs):
+        counter(counts, fn.__name__, args, kwargs, fn(*args, **kwargs), True)
+
+    phi3 = decomp.builtin_state("PHI3")
+    witness = decomp.builtin_witness(phi3, "PHI3")
+    count(spans._count_decomp, decomp.verify_decomposition, phi3, witness)
+    count(spans._count_decomp, decomp.verify_power_randomized, phi3,
+          decomp.decomposition_power(witness, 4), probes=20, seed=3)
+    x = tuple(tuple(Scalar(i * 4 + j) for j in range(4)) for i in range(4))
+    count(spans._count_bilinear, bilinear.strassen_multiply, x, x)
+    count(spans._count_slocc, slocc.decide_ghz_conversion, phi3, 7)
+    _, mul_count = bilinear.strassen_multiply(x, x)
+    assert mul_count.nonscalar_mults == 49
+    assert dict(counts) == {
+        # the dense check visits the 7 terms once; the power check, 4 copies
+        # of the 7 base terms for each of 20 probes
+        "decomp.verify_calls": 2, "decomp.randomized": 1, "decomp.terms_visited": 7 + 560,
+        "bilinear.nonscalar_mults": 49, "bilinear.additions": mul_count.additions,
+        "scalars.exact_ops": 49 + mul_count.additions,
+        "slocc.decisions": 1, "slocc.decisive": 1}
 
 
 def _imports(module: str) -> set:
@@ -47,6 +94,17 @@ def _imports(module: str) -> set:
             if isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
     return imported
+
+
+def test_linalg_is_a_leaf_and_sampling_left_the_package():
+    # no package code calls linalg's Scalar elimination: only the package's
+    # __init__ loads it, for the trace harness; the seeded Scalar generator
+    # (sampling) lives with the tests
+    importers = sorted(f"{path.name}: {name}" for path in PACKAGE.rglob("*.py")
+                       for name in _imports(path.relative_to(PACKAGE))
+                       & {"linalg", "sampling"})
+    assert importers == ["__init__.py: linalg"]
+    assert not (PACKAGE / "sampling.py").exists()
 
 
 def test_decomp_draws_no_stdlib_or_scalar_probes():

@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 from conftest import (
+    identity,
     invertible_matrix,
     matrix,
     nonzero_vector,
@@ -21,8 +22,9 @@ from conftest import (
     scalar_rows,
     tensor_sum,
 )
+import sampling
 
-from tenrank import linalg, sampling, tensors
+from tenrank import linalg, tensors
 from tenrank.decomp import builtin_state, make_decomposition, reconstruct
 from tenrank.errors import InputError, ResourceError
 from tenrank.scalars import ZERO, Leg, Scalar
@@ -475,7 +477,7 @@ def test_apply_is_linear_in_the_tensor():
 
 def test_apply_non_square_changes_dims():
     embed = matrix([[1, 0], [0, 1], [0, 0]])
-    ops = LocalOperatorTriple(embed, linalg.identity(2), linalg.identity(2))
+    ops = LocalOperatorTriple(embed, identity(2), identity(2))
     out = apply_local_operators(ops, ghz())
     assert out.dims == (3, 2, 2)
     assert out[(1, 1, 1)] == 1 and out[(2, 1, 1)] == 0
