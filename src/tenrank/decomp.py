@@ -224,8 +224,8 @@ def make_decomposition(dims, terms) -> ProductDecomposition:
     match them and no term may contain an all-zero vector.  The terms are
     stored as ArrayTerms; no given value object is kept."""
     terms = [[tuple(v) for v in term] for term in terms]
-    return _validated(dims, [tuple(map(len, term)) for term in terms],
-                      lambda dims: ArrayTerms.from_terms(terms, dims))
+    # from_terms checks the vector lengths
+    return _validated(dims, (), lambda dims: ArrayTerms.from_terms(terms, dims))
 
 
 def _check_lengths(dims, lengths) -> None:
